@@ -5,6 +5,9 @@ The engine separates *what a distributed algorithm does* (the per-vertex
 are executed*:
 
 * :mod:`repro.engine.backend` -- the :class:`Backend` strategy interface.
+  The built-in backends share one round driver,
+  :func:`repro.congest.network.drive_rounds`, and differ only in the
+  stepper and transport they plug into it.
 * :mod:`repro.engine.registry` -- open backend / scenario registries:
   ``@register_backend`` and ``@register_scenario`` make new implementations
   selectable by name everywhere without editing library internals.

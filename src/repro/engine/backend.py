@@ -8,6 +8,17 @@ regardless of how the rounds were executed.  The contract is semantic
 equivalence: for any algorithm and any delivery scenario, all backends must
 agree on per-vertex outputs, round counts, and message/word totals — only
 wall-clock time may differ.
+
+The built-in backends do not each write the round: they pick two plug-ins
+for the shared driver, :func:`repro.congest.network.drive_rounds`.  The
+*stepper* runs the vertices' code (a per-vertex
+:class:`~repro.congest.network.VertexStepper`, the vector layer's array
+stepper, or the sharded fan-out); the *transport* moves words
+(:class:`~repro.congest.network.CongestNetwork`'s per-edge FIFO for the
+reference backend, a :class:`~repro.engine.delivery.WordScheduler` adapter
+for the others).  Fault handling, drop rules, metrics and tracer events
+therefore agree by construction; a new backend can reuse the driver with
+its own plug-ins or implement :meth:`Backend.run` from scratch.
 """
 
 from __future__ import annotations

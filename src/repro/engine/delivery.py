@@ -32,7 +32,11 @@ import networkx as nx
 import numpy as np
 
 from repro.congest.message import Message, words_for_payload
-from repro.engine.scenarios import CleanSynchronous, DeliveryScenario
+from repro.engine.scenarios import (
+    CleanSynchronous,
+    DeliveryScenario,
+    link_projection,
+)
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 Edge = tuple[Hashable, Hashable]
@@ -54,8 +58,9 @@ class GraphIndex:
         index: vertex identifier -> dense integer id.
         edge_ids: directed edge ``(u, v)`` -> dense edge id, both directions
             of every undirected edge.  Doubles as an O(1) adjacency test
-            with O(m) memory, which is what keeps the engine viable on
-            large sparse graphs.
+            (``(u, v) in edge_ids``, one hash lookup, no networkx
+            dict-of-dicts) with O(m) memory, which is what keeps the
+            engine viable on large sparse graphs.
         edges: directed edge tuples in dense-id order (the inverse of
             ``edge_ids``); scenario kernels bind to this order.
     """
@@ -73,10 +78,6 @@ class GraphIndex:
             self.edge_ids.setdefault((v, u), len(self.edge_ids))
         # Insertion order == id order, so the key list inverts the mapping.
         self.edges: list[Edge] = list(self.edge_ids)
-
-    def has_edge(self, u: Hashable, v: Hashable) -> bool:
-        """Adjacency test in one hash lookup (no networkx dict-of-dicts)."""
-        return (u, v) in self.edge_ids
 
 
 class WordScheduler:
@@ -387,20 +388,6 @@ class WordScheduler:
 
     # -- enqueueing -----------------------------------------------------------
 
-    def schedule(self, message: Message, round_index: int, words: int) -> int:
-        """Enqueue one message; returns the round its last word crosses.
-
-        For whole-round traffic prefer :meth:`schedule_messages`, which
-        computes completion rounds for the entire batch in one mask query.
-        """
-        edge_id = self.index.edge_ids[(message.sender, message.receiver)]
-        done = self._transfer_done(
-            (message.sender, message.receiver), edge_id, round_index, words
-        )
-        self._buckets[done].append(message)
-        self.pending_messages += 1
-        return done
-
     def schedule_messages(
         self,
         messages: Sequence[Message],
@@ -409,11 +396,11 @@ class WordScheduler:
     ) -> None:
         """Bulk-enqueue message objects (one round's outgoing traffic).
 
-        Semantics are identical to calling :meth:`schedule` once per
-        message in sequence order — including FIFO queueing when the same
-        directed edge appears more than once — but completion rounds are
-        computed for the whole batch at once, which keeps faulty-scenario
-        scheduling vectorized for every kernel scenario.
+        Semantics are identical to enqueueing the messages one at a time
+        in sequence order — including FIFO queueing when the same directed
+        edge appears more than once — but completion rounds are computed
+        for the whole batch at once, which keeps faulty-scenario scheduling
+        vectorized for every kernel scenario.
         """
         count = len(messages)
         if count == 0:
@@ -446,7 +433,7 @@ class WordScheduler:
         matching directed-edge ids of this scheduler's :class:`GraphIndex`,
         ``words`` the per-transfer word counts, and ``values`` the payload
         words handed back verbatim by :meth:`deliver_batch`.  Semantics are
-        identical to calling :meth:`schedule` once per row in array order —
+        identical to :meth:`schedule_messages` over the rows in array order —
         including FIFO queueing when the same directed edge appears more
         than once — and the whole computation stays in numpy for the clean
         scenario and for every scenario with a batch kernel.
@@ -501,7 +488,7 @@ class WordScheduler:
         """Messages completing in ``round_index`` and words crossed in it.
 
         Must be called once per executed round, in increasing round order,
-        after that round's :meth:`schedule` calls.
+        after that round's :meth:`schedule_messages` call.
         """
         self._level += self._level_diff.pop(round_index, 0)
         completed = self._buckets.pop(round_index, [])
@@ -538,3 +525,86 @@ def payload_words(message: Message, n: int, cache: dict[int, tuple[object, int]]
         words = words_for_payload(payload, n)
     cache[key] = (payload, words)
     return words
+
+
+class MessageTransport:
+    """The round driver's transport for ``Message`` traffic: a scheduler.
+
+    Used by the vectorized backend's per-vertex path and the sharded
+    parent (the protocol is documented on
+    :func:`repro.congest.network.drive_rounds`).  The scheduler sees only
+    the scenario's link component, so vertex-fault-only scenarios keep the
+    clean arithmetic scheduling path.
+    """
+
+    schedule_span = True
+
+    def __init__(
+        self,
+        index: GraphIndex,
+        scenario: DeliveryScenario,
+        horizon: int,
+        tracer: Tracer,
+    ):
+        self.scheduler = WordScheduler(
+            index, link_projection(scenario), horizon=horizon, tracer=tracer
+        )
+        self._words_cache: dict[int, tuple[object, int]] = {}
+
+    @property
+    def pending(self) -> int:
+        return self.scheduler.pending_messages
+
+    def schedule(self, outgoing: Sequence[Message], round_index: int) -> None:
+        cache = self._words_cache
+        cache.clear()
+        n = self.scheduler.index.n
+        words = [payload_words(message, n, cache) for message in outgoing]
+        # One bulk enqueue per round: completion rounds for the whole batch
+        # come from a single transmit-mask prefix-sum query, so faulty
+        # kernel scenarios schedule as fast as clean ones.
+        self.scheduler.schedule_messages(outgoing, words, round_index)
+
+    def deliver(self, round_index: int) -> tuple[list[Message], int, int]:
+        delivered, words_crossed = self.scheduler.deliver(round_index)
+        return delivered, len(delivered), words_crossed
+
+    def trace_round(self, round_index: int, delivered: list[Message]) -> None:
+        self.scheduler.tracer.messages_delivered(round_index, delivered)
+
+
+class BatchTransport(MessageTransport):
+    """The vector layer's form: ``VectorSends`` in, dense arrays out.
+
+    A delivery is the ``(senders, receivers, values)`` tuple of dense ids
+    and payload words.
+    """
+
+    def schedule(self, sends, round_index: int) -> None:
+        self.scheduler.schedule_batch(
+            sends.senders,
+            sends.receivers,
+            sends.edge_ids,
+            sends.words,
+            sends.values,
+            round_index,
+        )
+
+    def deliver(
+        self, round_index: int
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
+        scheduler = self.scheduler
+        senders, receivers, values, words_crossed = scheduler.deliver_batch(
+            round_index
+        )
+        tracer = scheduler.tracer
+        if tracer.enabled and tracer.record_messages and senders.size:
+            # Pre-drop record of what crossed the wire this round, taken
+            # before the stepper filters the arrays.
+            tracer.arrays_delivered(
+                round_index, senders, receivers, values, scheduler.index.nodes
+            )
+        return (senders, receivers, values), int(senders.size), words_crossed
+
+    def trace_round(self, round_index: int, delivered) -> None:
+        """Nothing to add: :meth:`deliver` already recorded the arrays."""

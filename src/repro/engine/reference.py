@@ -1,10 +1,10 @@
 """The reference backend: the faithful edge-by-edge simulator, wrapped.
 
 This backend delegates to :class:`repro.congest.network.CongestNetwork`,
-which materialises every word fragment in per-edge FIFO queues and pops one
-per directed edge per round.  It is the semantic ground truth the fast
-backends are validated against, and the right choice when debugging an
-algorithm on small graphs.
+the round driver's reference transport: it materialises every word fragment
+in per-edge FIFO queues and pops one per directed edge per round.  It is
+the delivery oracle the fast backends are validated against, and the right
+choice when debugging an algorithm on small graphs.
 """
 
 from __future__ import annotations

@@ -229,10 +229,8 @@ class DeliveryScenario(ABC):
     # this stays ``False``.
     has_vertex_faults: bool = False
     # Adaptive adversaries: whether :meth:`observe_round` carries state the
-    # scenario's later fault decisions depend on.  Backends only pay the
-    # per-round statistics feedback when this is ``True``, and the sharded
-    # backend ships the parent's fault decisions to its workers instead of
-    # letting each fork replay a stale copy.
+    # scenario's later fault decisions depend on.  The round driver only
+    # pays the per-round statistics feedback when this is ``True``.
     is_adaptive: bool = False
     name: str = ""
     _bound_edges: list[Edge] | None = None

@@ -15,7 +15,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common import VectorFloodMinimum
+from common import VectorFloodMinimum, vector_broadcast_workload
+from test_vertex_faults import FloodMax
 from repro.baselines.naive import FloodMinimum
 from repro.congest.message import Message
 from repro.engine import ShardedBackend, run_algorithm
@@ -32,6 +33,7 @@ from repro.obs import (
     run_trace_diff,
     write_chrome_trace,
 )
+from repro.robust.scenarios import CrashStopVertexScenario
 
 BACKENDS = ["reference", "vectorized", "sharded"]
 
@@ -290,6 +292,60 @@ class TestEngineEvents:
         assert overflows and {e["action"] for e in overflows} <= {
             "resize", "pipe-fallback",
         }
+
+    @pytest.mark.parametrize(
+        "factory",
+        [FloodMax, vector_broadcast_workload(3)],
+        ids=["flood-max", "vector-broadcast-3w"],
+    )
+    def test_round_counters_agree_across_backends_under_crashes(self, factory):
+        """One round driver, one meaning of every per-round counter.
+
+        ``round_begin.active`` counts the vertices neither halted nor
+        crashed at round start.  Reference, vectorized (the vector fast
+        path for the vector class) and sharded (two workers) must report
+        identical ``(active, pending, delivered, words, dropped)`` tuples
+        in every round of the same crash-stop execution.
+        """
+        graph = erdos_renyi(40, 5.0, seed=7)
+        counters = {}
+        for name, backend in (
+            ("reference", "reference"),
+            ("vectorized", "vectorized"),
+            ("sharded", ShardedBackend(num_workers=2)),
+        ):
+            tracer = RecordingTracer(record_messages=False)
+            run_algorithm(
+                graph,
+                factory,
+                backend,
+                scenario=CrashStopVertexScenario(
+                    max_faulty=4, first_round=1, window=3, seed=7
+                ),
+                tracer=tracer,
+            )
+            crashed_by_round = [0] * len(tracer.rounds())
+            for event in tracer.events_of("vertex_crashed"):
+                for later in range(event["round"], len(crashed_by_round)):
+                    crashed_by_round[later] += 1
+            begins = tracer.events_of("round_begin")
+            assert crashed_by_round[-1] > 0
+            assert all(
+                begin["active"] <= graph.number_of_nodes() - crashed
+                for begin, crashed in zip(begins, crashed_by_round)
+            )
+            counters[name] = [
+                (
+                    begin["active"],
+                    begin["pending"],
+                    end["delivered"],
+                    end["words"],
+                    end["dropped"],
+                )
+                for begin, end in zip(begins, tracer.rounds())
+            ]
+        assert counters["vectorized"] == counters["reference"]
+        assert counters["sharded"] == counters["reference"]
 
 
 # ---------------------------------------------------------------------------
