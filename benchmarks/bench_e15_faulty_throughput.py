@@ -1,4 +1,4 @@
-"""E15 — Faulty-scenario throughput: vectorized kernels + sharded transports.
+"""E15 — Faulty-scenario throughput: vectorized kernels + sharded scaling.
 
 Before this experiment's PR, the engine's speed story collapsed the moment a
 delivery scenario was not clean: the
@@ -24,11 +24,12 @@ experiment pins the result:
   simulator needs minutes for the 1k faulty grid; semantics at 1k are
   already pinned by the listing section and the equivalence suites).
 * **Sharded scaling section.**  Per-worker-count timings of the sharded
-  backend under both transports (``shm`` shared-memory columnar blocks vs
-  ``pipe`` pickled batches) on the 1,000-vertex broadcast, together with
-  the host's usable core count.  On a single-core host the multi-worker
-  rows measure transport overhead, not parallel speedup — the JSON records
-  ``host_cores`` so multi-core readings are interpretable.
+  backend (pickled columnar pipe batches) on the 1,000-vertex broadcast:
+  worker counts are interleaved over ``SHARDED_REPEATS`` repeats and each
+  cell records the median / min / max wall clock, the median speedup over
+  one worker, and the host's usable core count.  When the workers outnumber
+  the cores, the multi-worker rows measure transport overhead, not parallel
+  speedup — ``host_cores`` makes every reading interpretable.
 
 Run standalone (writes BENCH_e15.json at the repo root by default)::
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -59,6 +61,10 @@ SCENARIO_GRID = [
 ]
 
 ACCEPTANCE_RATIO = 2.0
+
+# Interleaved repeats per sharded worker count: enough for a median and a
+# spread, so one noisy run cannot flip the 1-vs-N-worker comparison.
+SHARDED_REPEATS = 3
 
 
 def _scenario_label(entry) -> str:
@@ -160,10 +166,8 @@ def run_broadcast_section(
     }
 
 
-def run_sharded_section(
-    n: int, seed: int, worker_counts: list[int]
-) -> dict:
-    """Per-worker-count sharded timings under both transports."""
+def run_sharded_section(n: int, seed: int, worker_counts: list[int]) -> dict:
+    """Per-worker-count sharded timings, interleaved over ``SHARDED_REPEATS``."""
     session = Session(name="e15-sharded")
     spec = ExperimentSpec(
         name="e15-sharded",
@@ -176,40 +180,61 @@ def run_sharded_section(
     )
     scenarios = [SCENARIO_GRID[0], SCENARIO_GRID[1]]  # clean + link-drop
     rows = []
-    table: dict[str, dict[str, dict[str, float]]] = {}
+    samples: dict[str, dict[str, list[float]]] = {}
     signatures: dict[str, tuple] = {}
-    for transport in ("shm", "pipe"):
+    # Repeat-major order: every worker count sees the same drift in host
+    # load, so the comparison between worker counts stays fair.
+    for repeat in range(SHARDED_REPEATS):
         for workers in worker_counts:
             results = session.grid(
                 spec,
-                backends=[
-                    ("sharded", {"num_workers": workers, "transport": transport})
-                ],
+                backends=[("sharded", {"num_workers": workers})],
                 scenarios=scenarios,
             )
             for result in results:
                 row = result.to_row()
-                row["transport"] = transport
                 row["num_workers"] = workers
+                row["repeat"] = repeat
                 rows.append(row)
-                table.setdefault(transport, {}).setdefault(
-                    f"workers={workers}", {}
-                )[result.scenario_name] = round(min(result.seconds), 3)
-                # Worker count and transport must never change semantics —
-                # per scenario, every (transport, workers) cell must carry
-                # the identical signature.
+                samples.setdefault(f"workers={workers}", {}).setdefault(
+                    result.scenario_name, []
+                ).append(min(result.seconds))
+                # Worker count must never change semantics — per scenario,
+                # every (workers, repeat) cell must carry the identical
+                # signature.
                 current = result.signature()
                 expected = signatures.setdefault(result.scenario_name, current)
                 assert current == expected, (
-                    f"sharded cell diverged: {transport} x workers={workers} "
-                    f"x {result.scenario_name}"
+                    f"sharded cell diverged: workers={workers} "
+                    f"x {result.scenario_name} (repeat {repeat})"
                 )
+    seconds = {
+        workers: {
+            name: {
+                "median": round(statistics.median(times), 3),
+                "min": round(min(times), 3),
+                "max": round(max(times), 3),
+            }
+            for name, times in per_scenario.items()
+        }
+        for workers, per_scenario in samples.items()
+    }
+    one_worker = seconds["workers=1"]
+    speedup = {
+        workers: {
+            name: round(one_worker[name]["median"] / cell["median"], 3)
+            for name, cell in per_scenario.items()
+        }
+        for workers, per_scenario in seconds.items()
+    }
     return {
         "n": n,
         "worker_counts": worker_counts,
+        "repeats": SHARDED_REPEATS,
         "host_cores": _host_cores(),
         "rows": rows,
-        "seconds": table,
+        "seconds": seconds,
+        "speedup_vs_1_worker": speedup,
     }
 
 
@@ -230,13 +255,13 @@ def run_experiment(
     return {
         "experiment": (
             "E15 faulty-scenario throughput "
-            "(vectorized transmit-mask kernels + shared-memory sharded transport)"
+            "(vectorized transmit-mask kernels + sharded scaling)"
         ),
         "workload": (
             "Theorem 32 listing grid (acceptance: faulty vectorized wall clock "
             "within 2x of clean, backends agree per cell) + 256-word broadcast "
             "stress (words/second per scenario) + sharded per-worker-count "
-            "timings under shm and pipe transports"
+            "timings (interleaved repeats, median/min/max)"
         ),
         "seed": seed,
         "host_cores": cores,
@@ -265,13 +290,18 @@ def render(report: dict) -> str:
         for name, wps in per_scenario.items():
             lines.append(f"  n={n:<6} {name:<26s} {wps:>12,.0f} words/s")
     lines.append("")
-    lines.append("sharded seconds (transport x workers x scenario):")
-    for transport, per_workers in report["sharded"]["seconds"].items():
-        for workers, per_scenario in per_workers.items():
-            cells = "  ".join(
-                f"{name}={secs:.3f}s" for name, secs in per_scenario.items()
-            )
-            lines.append(f"  {transport:<5s} {workers:<12s} {cells}")
+    sharded = report["sharded"]
+    lines.append(
+        f"sharded seconds, median [min-max] of {sharded['repeats']} "
+        "interleaved repeats (speedup vs 1 worker):"
+    )
+    for workers, per_scenario in sharded["seconds"].items():
+        cells = "  ".join(
+            f"{name}={cell['median']:.3f}s [{cell['min']:.3f}-{cell['max']:.3f}]"
+            f" ({sharded['speedup_vs_1_worker'][workers][name]:.2f}x)"
+            for name, cell in per_scenario.items()
+        )
+        lines.append(f"  {workers:<12s} {cells}")
     return "\n".join(lines)
 
 

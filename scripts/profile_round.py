@@ -40,7 +40,6 @@ LAYERS = [
     ("scenario-kernels", "repro/engine/scenarios"),
     ("delivery-scheduler", "repro/engine/delivery"),
     ("vector-layer", "repro/engine/vector.py"),
-    ("shm-transport", "repro/engine/shm"),
     ("backend-loops", "repro/engine/"),
     ("congest-substrate", "repro/congest/"),
     ("experiments-api", "repro/experiments/"),

@@ -21,9 +21,8 @@ are executed*:
   backend while still running per-vertex (via its ``per_vertex`` twin) on
   the reference and sharded backends.
 * :mod:`repro.engine.sharded` -- vertex-partitioned execution across forked
-  worker processes with per-round barriers; message traffic crosses through
-  shared-memory columnar blocks (:mod:`repro.engine.shm`), the pipes carry
-  only control tokens.
+  worker processes with per-round barriers; each round's traffic crosses
+  each worker's pipe as one pickled columnar batch per direction.
 * :mod:`repro.engine.scenarios` -- pluggable, composable delivery models:
   clean synchronous, per-round link drops, adversarial bounded delay,
   correlated bursty outages, per-edge heterogeneous bandwidth, and the

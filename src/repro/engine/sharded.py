@@ -18,15 +18,9 @@ their view of who has crashed is the parent's by construction.
 
 Workers are started with the ``fork`` start method so that arbitrary vertex
 factories (including classes defined in test modules or notebooks) need not
-be picklable.  Message traffic crosses process boundaries through
-**shared-memory columnar blocks** (:mod:`repro.engine.shm`): five dense
-``int64`` columns plus a payload arena per direction per worker, with the
-pipe reduced to a tiny per-round control token.  A round that overflows its
-block falls back to the PR 4 pickled columnar batch
-(:func:`_pack_messages`) for that round while the parent provisions a
-doubled replacement, and ``ShardedBackend(transport="pipe")`` selects the
-pickling transport outright (benchmarks compare the two).  Where ``fork``
-is unavailable (or for ``num_workers=1``) there is nothing to exchange: the
+be picklable.  Each direction of each round crosses a worker's pipe as one
+pickled columnar batch (:func:`_pack_messages`).  Where ``fork`` is
+unavailable (or for ``num_workers=1``) there is nothing to exchange: the
 run steps one per-vertex stepper over all vertices in-process, with **no
 serialisation layer at all**.
 """
@@ -53,13 +47,7 @@ from repro.engine.backend import Backend, VertexFactory
 from repro.engine.delivery import GraphIndex, MessageTransport
 from repro.engine.registry import register_backend
 from repro.engine.scenarios import DeliveryScenario, resolve_scenario
-from repro.engine.shm import (
-    ColumnBlock,
-    ColumnReader,
-    ColumnWriter,
-    shared_memory_available,
-)
-from repro.obs.tracer import NULL_TRACER, Tracer, resolve_tracer
+from repro.obs.tracer import Tracer, resolve_tracer
 
 _ROUND = "round"
 _FINISH = "finish"
@@ -72,13 +60,13 @@ _EMPTY_BATCH = ((), (), (), ())
 def _pack_messages(messages: list[Message]) -> tuple[tuple, ...]:
     """Columnar batch for one pipe crossing: four parallel tuples.
 
-    The pipe-fallback transport (and the ``transport="pipe"`` mode): one
-    batched payload per worker per round instead of a list of
-    :class:`Message` dataclass instances — pickling ``N`` instances spends
-    per-object class/state records and a reconstruction call each, while
-    four flat tuples cost one container record apiece and let pickle's
-    memo share the repeated senders, tags, and (for broadcast-style
-    workloads) identical payload objects across the whole round.
+    The sharded transport: one batched payload per worker per round
+    direction instead of a list of :class:`Message` dataclass instances —
+    pickling ``N`` instances spends per-object class/state records and a
+    reconstruction call each, while four flat tuples cost one container
+    record apiece and let pickle's memo share the repeated senders, tags,
+    and (for broadcast-style workloads) identical payload objects across
+    the whole round.
     :func:`_unpack_messages` rebuilds equal ``Message`` objects on the
     receiving side, so shard code above this layer never sees the batching.
     """
@@ -101,66 +89,30 @@ def _unpack_messages(batch: tuple[tuple, ...]) -> list[Message]:
     ]
 
 
-def _shard_worker(conn, vertices, factory, neighbor_map, n, edges, channel) -> None:
-    """Worker-process loop: step the shard once per parent request.
-
-    ``channel`` is ``None`` for the pipe transport, or ``(down_block,
-    up_block, nodes, vertex_index)`` — the fork-inherited shared-memory
-    blocks plus the dense-id tables needed to decode deliveries and encode
-    outgoing traffic.  Replacement blocks (after overflow resizes) arrive
-    as descriptors in the round token and are attached by name.
-    """
-    down_reader = up_writer = None
+def _shard_worker(conn, vertices, factory, neighbor_map, n, edges) -> None:
+    """Worker-process loop: step the shard once per parent request."""
     try:
         stepper = VertexStepper(
             {v: factory(v, neighbor_map[v], n) for v in vertices}, edges
         )
-        if channel is not None:
-            down_block, up_block, nodes, vertex_index = channel
-            # The fork-inherited objects carry the parent's owner flag;
-            # only the parent unlinks, so disown them on this side.
-            down_block.owner = False
-            up_block.owner = False
-            down_reader = ColumnReader(down_block, nodes)
-            up_writer = ColumnWriter(up_block, vertex_index)
         conn.send(("ready", list(stepper.halted)))
         while True:
             request = conn.recv()
             if request[0] == _ROUND:
-                _, round_index, part, new_down, new_up, crashes = request
-                if new_down is not None:
-                    down_reader.adopt(ColumnBlock.attach(new_down))
-                if new_up is not None:
-                    up_writer.adopt(ColumnBlock.attach(new_up))
-                if part[0] == "shm":
-                    down_reader.learn(part[2])
-                    deliveries = down_reader.decode(part[1])
-                else:
-                    deliveries = _unpack_messages(part[1])
+                _, round_index, batch, crashes = request
                 # Deliveries first: the parent routed them before this
                 # round's crashes, and a message a vertex sent before it
                 # crashed is still consumed.
-                stepper.receive(deliveries)
+                stepper.receive(_unpack_messages(batch))
                 if crashes:
                     stepper.crash(crashes)
                 outgoing = stepper.step(round_index)
-                if up_writer is not None:
-                    encoded = up_writer.encode(outgoing)
-                    if encoded is not None:
-                        rows, _, new_tags = encoded
-                        reply_part = ("shm", rows, new_tags)
-                    else:
-                        # Overflow: ship this round over the pipe and tell
-                        # the parent how many rows a replacement needs.
-                        reply_part = (
-                            "pipe", _pack_messages(outgoing), len(outgoing)
-                        )
-                else:
-                    reply_part = ("pipe", _pack_messages(outgoing), None)
                 # The newly halted vertices let the parent keep a global
                 # halted set and drop deliveries to halted vertices before
                 # they ever cross a pipe.
-                conn.send(("stepped", reply_part, stepper.newly_halted))
+                conn.send(
+                    ("stepped", _pack_messages(outgoing), stepper.newly_halted)
+                )
             elif request[0] == _FINISH:
                 conn.send(("outputs", stepper.outputs()))
                 return
@@ -176,49 +128,18 @@ def _shard_worker(conn, vertices, factory, neighbor_map, n, edges, channel) -> N
             # the parent reports EOF as an unexpected worker death.
             pass
     finally:
-        if down_reader is not None:
-            down_reader.block.close()
-        if up_writer is not None:
-            up_writer.block.close()
         conn.close()
 
 
 class _ProcessShard:
-    """A forked worker process driven over a duplex pipe.
+    """A forked worker process driven over a duplex pipe."""
 
-    With ``transport="shm"`` the per-round message traffic crosses through
-    a pair of parent-owned shared-memory column blocks (one per direction)
-    and the pipe carries only control tokens; ``transport="pipe"`` keeps
-    everything on the pickled columnar batches.
-    """
-
-    def __init__(
-        self, context, vertices, factory, neighbor_map, n,
-        index: GraphIndex, transport: str = "pipe",
-        tracer: Tracer = NULL_TRACER, shard_id: int = 0,
-    ):
+    def __init__(self, context, vertices, factory, neighbor_map, n, edges):
         self.vertices = vertices
-        self.transport = transport
-        self.tracer = tracer
-        self.shard_id = shard_id
-        self._round = 0
-        self._down_writer: ColumnWriter | None = None
-        self._up_reader: ColumnReader | None = None
-        self._up_rows_needed = 0
-        channel = None
-        if self.transport == "shm":
-            down_block = ColumnBlock()
-            up_block = ColumnBlock()
-            self._down_writer = ColumnWriter(down_block, index.index)
-            self._up_reader = ColumnReader(up_block, index.nodes)
-            channel = (down_block, up_block, index.nodes, index.index)
         self._conn, child_conn = context.Pipe(duplex=True)
         self._process = context.Process(
             target=_shard_worker,
-            args=(
-                child_conn, vertices, factory, neighbor_map, n,
-                index.edge_ids, channel,
-            ),
+            args=(child_conn, vertices, factory, neighbor_map, n, edges),
             daemon=True,
         )
         self._process.start()
@@ -238,90 +159,16 @@ class _ProcessShard:
             raise RuntimeError(f"unexpected shard reply {reply[0]!r}")
         return reply[1:]
 
-    def _replace_up_block(self) -> tuple[str, int, int]:
-        """Provision a doubled worker->parent block after an overflow."""
-        old = self._up_reader.block
-        rows = max(old.rows_capacity * 2, self._up_rows_needed * 2)
-        replacement = ColumnBlock(rows, old.arena_capacity * 2)
-        self._up_reader.adopt(replacement)
-        old.unlink()
-        return replacement.descriptor()
-
     def begin_round(
         self, round_index: int, deliveries: list[Message], crashes: tuple = ()
     ) -> None:
-        """Publish the round's deliveries and the go token (no reply yet)."""
-        self._round = round_index
-        if self.transport != "shm":
-            self._conn.send(
-                (_ROUND, round_index, ("pipe", _pack_messages(deliveries)),
-                 None, None, crashes)
-            )
-            return
-        tracer = self.tracer
-        new_up = self._replace_up_block() if self._up_rows_needed else None
-        self._up_rows_needed = 0
-        new_down = None
-        encoded = self._down_writer.encode(deliveries)
-        while encoded is None:
-            # Overflow: the parent owns both sides of the resize, so it
-            # simply doubles until the round fits and announces the
-            # replacement in the same token.
-            if tracer.enabled:
-                tracer.shm_overflow(
-                    round_index, self.shard_id, "down", action="resize"
-                )
-            old = self._down_writer.block
-            replacement = ColumnBlock(
-                max(old.rows_capacity * 2, 2 * len(deliveries)),
-                old.arena_capacity * 2,
-            )
-            self._down_writer.adopt(replacement)
-            old.unlink()
-            new_down = replacement.descriptor()
-            encoded = self._down_writer.encode(deliveries)
-        rows, arena_bytes, new_tags = encoded
-        if tracer.enabled:
-            block = self._down_writer.block
-            tracer.shm_block(
-                round_index, self.shard_id, "down",
-                rows=rows,
-                rows_capacity=block.rows_capacity,
-                arena_bytes=arena_bytes,
-                arena_capacity=block.arena_capacity,
-            )
-        self._conn.send(
-            (_ROUND, round_index, ("shm", rows, new_tags), new_down, new_up,
-             crashes)
-        )
+        """Send the round's deliveries and the go token (no reply yet)."""
+        self._conn.send((_ROUND, round_index, _pack_messages(deliveries), crashes))
 
     def collect_round(self) -> tuple[list[Message], list[Hashable]]:
         """Receive the round's (outgoing, newly_halted)."""
-        part, newly_halted = self._expect("stepped")
-        tracer = self.tracer
-        if part[0] == "shm":
-            self._up_reader.learn(part[2])
-            messages = self._up_reader.decode(part[1])
-            if tracer.enabled:
-                block = self._up_reader.block
-                tracer.shm_block(
-                    self._round, self.shard_id, "up",
-                    rows=part[1],
-                    rows_capacity=block.rows_capacity,
-                    arena_capacity=block.arena_capacity,
-                )
-        else:
-            messages = _unpack_messages(part[1])
-            if self.transport == "shm" and part[2] is not None:
-                # The worker's block overflowed this round; remember the
-                # demand so the next begin_round provisions a replacement.
-                self._up_rows_needed = max(part[2], 1)
-                if tracer.enabled:
-                    tracer.shm_overflow(
-                        self._round, self.shard_id, "up",
-                        action="pipe-fallback",
-                    )
-        return messages, newly_halted
+        batch, newly_halted = self._expect("stepped")
+        return _unpack_messages(batch), newly_halted
 
     def finish(self):
         self._conn.send((_FINISH,))
@@ -333,16 +180,9 @@ class _ProcessShard:
         try:
             self._conn.close()
         finally:
-            try:
-                if self._process.is_alive():
-                    self._process.terminate()
-                    self._process.join(timeout=5)
-            finally:
-                for holder in (self._down_writer, self._up_reader):
-                    if holder is not None:
-                        block = holder.block
-                        block.close()
-                        block.unlink()
+            if self._process.is_alive():
+                self._process.terminate()
+                self._process.join(timeout=5)
 
 
 class _ShardFanOut(MessageStepper):
@@ -422,30 +262,13 @@ class _ShardFanOut(MessageStepper):
 
 @register_backend("sharded")
 class ShardedBackend(Backend):
-    """Multi-core backend: per-shard workers, per-round barrier sync.
-
-    ``transport`` selects how message traffic crosses process boundaries:
-    ``"shm"`` (default) uses the shared-memory columnar blocks of
-    :mod:`repro.engine.shm` with the pipes reduced to control tokens,
-    ``"pipe"`` uses the PR 4 pickled columnar batches.  Hosts without
-    working POSIX shared memory fall back to ``"pipe"`` automatically.
-    """
+    """Multi-core backend: per-shard workers, per-round barrier sync."""
 
     name = "sharded"
 
-    def __init__(
-        self,
-        num_workers: int | None = None,
-        start_method: str = "fork",
-        transport: str = "shm",
-    ):
-        if transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pipe'; got {transport!r}"
-            )
+    def __init__(self, num_workers: int | None = None, start_method: str = "fork"):
         self.num_workers = num_workers
         self.start_method = start_method
-        self.transport = transport
 
     def _resolve_workers(self, n: int) -> int:
         workers = self.num_workers
@@ -486,26 +309,16 @@ class ShardedBackend(Backend):
         shards: list[_ProcessShard] = []
         try:
             if use_processes:
-                transport = self.transport
-                if transport == "shm" and (
-                    self.start_method != "fork" or not shared_memory_available()
-                ):
-                    # The shm blocks rely on fork inheritance (and on fork's
-                    # shared resource tracker for replacement-block
-                    # attachment).
-                    transport = "pipe"
                 context = multiprocessing.get_context(self.start_method)
                 # Contiguous blocks in graph.nodes order: concatenating shard
                 # responses in shard order reproduces the reference
                 # simulator's global vertex iteration order.
                 block = (n + workers - 1) // workers
-                for shard_id, start in enumerate(range(0, n, block)):
+                for start in range(0, n, block):
                     shards.append(
                         _ProcessShard(
                             context, index.nodes[start : start + block],
-                            factory, neighbor_map, n,
-                            index=index, transport=transport,
-                            tracer=tracer, shard_id=shard_id,
+                            factory, neighbor_map, n, index.edge_ids,
                         )
                     )
                 stepper = _ShardFanOut(shards, index.nodes, tracer)

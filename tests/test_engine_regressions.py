@@ -6,6 +6,8 @@ Regressions the equivalence matrix does not pin down directly:
   one worker is requested or the configured start method is unavailable on
   the host — both paths must stay bit-for-bit equivalent to the reference
   simulator;
+* a vertex raising inside a forked shard fails the run with that very
+  exception, and teardown leaves no worker process behind;
 * delivery scenarios are pure functions of ``(seed, edge, round)``, so a
   faulty run repeated with the same seed must reproduce the identical
   execution on every backend — this is what makes fault experiments
@@ -311,7 +313,7 @@ def test_sharded_worker_default_falls_back_to_cpu_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory sharded transport
+# Forked sharded workers: diagnostics and teardown
 # ---------------------------------------------------------------------------
 
 
@@ -319,121 +321,12 @@ _FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.mark.skipif(not _FORK_AVAILABLE, reason="forked workers unavailable")
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
-@pytest.mark.parametrize("scenario", [None, LinkDropScenario(0.15, seed=9)])
-def test_sharded_transports_match_reference(transport, scenario):
-    """Both transports stay bit-for-bit equivalent to the reference."""
-    graph = erdos_renyi(30, 6.0, seed=12)
-    factory = broadcast_workload(16)
-    reference = run_signature(
-        run_algorithm(
-            graph, factory, backend="reference", scenario=scenario, max_rounds=5000
-        )
-    )
-    backend = ShardedBackend(num_workers=3, start_method="fork", transport=transport)
-    sharded_run = run_algorithm(
-        graph, factory, backend=backend, scenario=scenario, max_rounds=5000
-    )
-    assert run_signature(sharded_run) == reference
-
-
-@pytest.mark.skipif(not _FORK_AVAILABLE, reason="forked workers unavailable")
-def test_sharded_shm_overflow_resizes_and_matches_reference(monkeypatch):
-    """Tiny blocks force the overflow + pipe-fallback + resize protocol.
-
-    Every round that does not fit ships over the pipe once while the parent
-    provisions doubled replacement blocks; results must stay identical and
-    no shared-memory segment may leak.
-    """
-    import repro.engine.shm as shm
-
-    monkeypatch.setattr(shm, "DEFAULT_ROWS", 2)
-    monkeypatch.setattr(shm, "DEFAULT_ARENA", 48)
-    graph = erdos_renyi(24, 5.0, seed=3)
-    factory = broadcast_workload(12)  # tuple payloads exercise the arena
-    scenario = LinkDropScenario(0.2, seed=5)
-    reference = run_signature(
-        run_algorithm(
-            graph, factory, backend="reference", scenario=scenario, max_rounds=5000
-        )
-    )
-    backend = ShardedBackend(num_workers=3, start_method="fork", transport="shm")
-    run = run_algorithm(
-        graph, factory, backend=backend, scenario=scenario, max_rounds=5000
-    )
-    assert run_signature(run) == reference
-
-
-def test_sharded_rejects_unknown_transport():
-    with pytest.raises(ValueError, match="transport"):
-        ShardedBackend(transport="carrier-pigeon")
-
-
-def test_column_block_round_trips_tags_ints_and_shared_payloads():
-    """Writer/reader pair: intern-table growth, inline ints, arena dedupe."""
-    from repro.congest.message import Message
-    from repro.engine.shm import ColumnBlock, ColumnReader, ColumnWriter
-
-    nodes = ["a", "b", "c"]
-    index = {v: i for i, v in enumerate(nodes)}
-    block = ColumnBlock(rows_capacity=8, arena_capacity=256)
-    try:
-        writer = ColumnWriter(block, index)
-        reader = ColumnReader(block, nodes)
-        blob = (1, 2, 3)
-        messages = [
-            Message("a", "b", "blob", blob),
-            Message("a", "c", "blob", blob),   # same payload object: deduped
-            Message("b", "c", "ack", 7),       # plain int: no arena bytes
-            Message("c", "a", "ack", -7),
-        ]
-        rows, arena_bytes, new_tags = writer.encode(messages)
-        assert rows == 4 and new_tags == ["blob", "ack"]
-        reader.learn(new_tags)
-        decoded = reader.decode(rows)
-        assert decoded == messages
-        # The two blob copies decode to one shared object (pickle-memo
-        # parity with the pipe transport) and the arena holds it once.
-        assert decoded[0].payload is decoded[1].payload
-        import pickle
-
-        assert arena_bytes == len(pickle.dumps(blob, pickle.HIGHEST_PROTOCOL))
-        # Second round: the tag table carries over, no new tags cross.
-        rows, _, new_tags = writer.encode([Message("b", "a", "ack", 1)])
-        assert new_tags == []
-        decoded = reader.decode(rows)
-        assert decoded == [Message("b", "a", "ack", 1)]
-    finally:
-        block.close()
-        block.unlink()
-
-
-def test_column_writer_overflow_is_transactional():
-    """A failed encode must leave the tag table untouched (reader sync)."""
-    from repro.congest.message import Message
-    from repro.engine.shm import ColumnBlock, ColumnWriter
-
-    nodes = [0, 1]
-    block = ColumnBlock(rows_capacity=4, arena_capacity=8)
-    try:
-        writer = ColumnWriter(block, {0: 0, 1: 1})
-        too_big = Message(0, 1, "huge", tuple(range(100)))
-        assert writer.encode([too_big]) is None
-        assert writer._tag_ids == {}
-        ok = writer.encode([Message(0, 1, "small", 3)])
-        assert ok is not None and ok[2] == ["small"]
-    finally:
-        block.close()
-        block.unlink()
-
-
-@pytest.mark.skipif(not _FORK_AVAILABLE, reason="forked workers unavailable")
 def test_shm_transport_reports_unknown_receiver_like_every_backend():
     """A send to a non-existent vertex raises the standard diagnostic.
 
-    The shm encoder maps receivers to dense ids inside the worker, before
-    the parent's adjacency check can see the message; a bare ``KeyError``
-    here would make the error depend on the transport.
+    The worker's stepper validates outgoing traffic before it crosses the
+    pipe; a bare ``KeyError`` here would make the error depend on where
+    the vertex ran.
     """
     class Misaddressed(VertexAlgorithm):
         def on_round(self, round_index, inbox):
@@ -443,9 +336,32 @@ def test_shm_transport_reports_unknown_receiver_like_every_backend():
             return []
 
     graph = nx.path_graph(4)
-    backend = ShardedBackend(num_workers=2, start_method="fork", transport="shm")
+    backend = ShardedBackend(num_workers=2, start_method="fork")
     with pytest.raises(ValueError, match="non-neighbour.*no-such-vertex"):
         run_algorithm(graph, Misaddressed, backend=backend, max_rounds=10)
+
+
+@pytest.mark.skipif(not _FORK_AVAILABLE, reason="forked workers unavailable")
+def test_worker_failure_is_reraised_and_leaves_no_orphan_workers():
+    """A vertex raising inside a forked shard fails the whole run.
+
+    The failing worker reports its exception over the pipe; the parent must
+    re-raise that very exception type and message, and its teardown must
+    reap both the failed worker and the healthy one still waiting on its
+    next round token.
+    """
+    class Exploding(VertexAlgorithm):
+        def on_round(self, round_index, inbox):
+            if self.vertex == 5 and round_index == 2:
+                raise ZeroDivisionError("vertex 5 exploded in round 2")
+            if round_index >= 4:
+                self.halt()
+            return self.send_to_all_neighbors("ping", round_index)
+
+    backend = ShardedBackend(num_workers=2, start_method="fork")
+    with pytest.raises(ZeroDivisionError, match="vertex 5 exploded in round 2"):
+        run_algorithm(nx.cycle_graph(8), Exploding, backend=backend, max_rounds=20)
+    assert multiprocessing.active_children() == []
 
 
 def test_inline_shards_bypass_all_serialisation(monkeypatch):
@@ -456,7 +372,6 @@ def test_inline_shards_bypass_all_serialisation(monkeypatch):
     overhead.  Poisoning the transport entry points proves the inline path
     cannot reach them.
     """
-    import repro.engine.shm as shm
     from repro.engine import sharded as sharded_module
 
     def poisoned(*args, **kwargs):  # pragma: no cover - failure path
@@ -464,7 +379,6 @@ def test_inline_shards_bypass_all_serialisation(monkeypatch):
 
     monkeypatch.setattr(sharded_module, "_pack_messages", poisoned)
     monkeypatch.setattr(sharded_module, "_unpack_messages", poisoned)
-    monkeypatch.setattr(shm.ColumnBlock, "__init__", poisoned)
     graph = erdos_renyi(20, 5.0, seed=8)
     factory = broadcast_workload(8)
     reference = run_signature(
@@ -497,26 +411,3 @@ def test_adversarial_delay_same_seed_reproduces_identical_runs():
         )
     )
     assert first == second
-
-
-def test_column_writer_rejects_unknown_sender_and_receiver():
-    """Both halves of the dense vertex index give the engine's standard
-    ``ValueError`` diagnostic — a bare ``KeyError`` from the index lookup
-    would make the error depend on the transport (regression: the sender
-    column used a plain ``index[message.sender]``)."""
-    from repro.congest.message import Message
-    from repro.engine.shm import ColumnBlock, ColumnWriter
-
-    block = ColumnBlock(rows_capacity=4, arena_capacity=64)
-    try:
-        writer = ColumnWriter(block, {0: 0, 1: 1})
-        with pytest.raises(ValueError, match="non-neighbour.*ghost"):
-            writer.encode([Message(0, "ghost", "t", 1)])
-        with pytest.raises(ValueError, match="unknown sender.*ghost"):
-            writer.encode([Message("ghost", 1, "t", 1)])
-        # The writer stays usable after a rejected batch.
-        ok = writer.encode([Message(0, 1, "t", 1)])
-        assert ok is not None
-    finally:
-        block.close()
-        block.unlink()

@@ -257,7 +257,7 @@ class TestEngineEvents:
         sample = next(iter(delivered.values()))[0]
         assert sample[2] == "word"
 
-    def test_sharded_workers_emit_barrier_and_shm_events(self):
+    def test_sharded_workers_emit_barrier_events(self):
         tracer = RecordingTracer()
         run_algorithm(
             workload_graph(),
@@ -268,30 +268,6 @@ class TestEngineEvents:
         barriers = tracer.events_of("barrier")
         assert {e["worker"] for e in barriers} == {0, 1}
         assert tracer.span_totals()["barrier"] > 0.0
-        blocks = tracer.events_of("shm_block")
-        assert {e["direction"] for e in blocks} == {"down", "up"}
-        assert all(e["rows"] <= e["rows_capacity"] for e in blocks)
-
-    def test_shm_overflow_resize_is_traced(self):
-        # A tiny initial block forces the down-direction resize path.
-        from repro.engine import shm
-
-        tracer = RecordingTracer()
-        original = shm.DEFAULT_ROWS
-        shm.DEFAULT_ROWS = 2
-        try:
-            run_algorithm(
-                workload_graph(),
-                FloodMinimum,
-                ShardedBackend(num_workers=2),
-                tracer=tracer,
-            )
-        finally:
-            shm.DEFAULT_ROWS = original
-        overflows = tracer.events_of("shm_overflow")
-        assert overflows and {e["action"] for e in overflows} <= {
-            "resize", "pipe-fallback",
-        }
 
     @pytest.mark.parametrize(
         "factory",
