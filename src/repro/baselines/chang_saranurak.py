@@ -24,7 +24,7 @@ import networkx as nx
 from repro.congest.cost import RoutingOverhead
 from repro.decomposition.cluster import K3CompatibleCluster
 from repro.decomposition.routing import ClusterRouter
-from repro.graphs.cliques import Clique, canonical_clique
+from repro.graphs.cliques import Clique, enumerate_cliques
 from repro.listing.local import two_hop_exhaustive_listing
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
 
@@ -76,7 +76,6 @@ class CS20TriangleListing:
         # Without partition trees, the deterministic load balancing known to
         # [CS20] leaves each of the k high-degree vertices responsible for a
         # ~(m_C / k^{1/3})-edge share: charge that load and list centrally.
-        member_set = set(members)
         core_graph = working.subgraph(members)
         m_core = core_graph.number_of_edges()
         k = len(members)
@@ -88,11 +87,7 @@ class CS20TriangleListing:
             total_words=m_core,
             phase="cs20-edge-learning",
         )
-        adjacency = {v: set(core_graph.neighbors(v)) for v in members}
-        for u, v in core_graph.edges:
-            for w in adjacency[u] & adjacency[v]:
-                found.add(canonical_clique((u, v, w)))
-        _ = member_set
+        found |= enumerate_cliques(core_graph, 3)
         return found
 
 

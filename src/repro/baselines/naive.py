@@ -37,7 +37,7 @@ from repro.congest.cost import CostAccountant, RoutingOverhead, unit_overhead
 from repro.congest.message import Message
 from repro.congest.metrics import CongestMetrics
 from repro.congest.vertex import VertexAlgorithm
-from repro.graphs.cliques import Clique, canonical_clique
+from repro.graphs.cliques import Clique, cliques_through_vertex
 from repro.listing.local import two_hop_exhaustive_listing
 from repro.listing.recursion import ListingResult
 
@@ -63,11 +63,9 @@ class NeighborhoodExchangeTriangles(VertexAlgorithm):
         if round_index == 0:
             return self.send_to_all_neighbors("adj", tuple(self.neighbors))
         if len(self._neighbor_lists) == len(self.neighbors):
-            my_neighbors = set(self.neighbors)
-            for u, adjacency in self._neighbor_lists.items():
-                for w in adjacency:
-                    if w in my_neighbors and w != u:
-                        self.output.add(canonical_clique((self.vertex, u, w)))
+            adjacency = dict(self._neighbor_lists)
+            adjacency[self.vertex] = self.neighbors
+            self.output = cliques_through_vertex(adjacency, self.vertex, 3)
             self.halt()
         return []
 

@@ -265,12 +265,9 @@ class ListingVertex(VertexAlgorithm):
             return
         found: set[Clique] = set()
         if self.plan.is_lister:
-            local = nx.Graph()
-            local.add_node(self.vertex)
-            local.add_edges_from((self.vertex, u) for u in self.neighbors)
-            for neighbor, hits in self._replies.items():
-                local.add_edges_from((neighbor, v) for v in hits)
-            found |= cliques_through_vertex(local, self.vertex, self.plan.p)
+            adjacency = dict(self._replies)
+            adjacency[self.vertex] = self.neighbors
+            found |= cliques_through_vertex(adjacency, self.vertex, self.plan.p)
         if self._edges:
             found |= cliques_in_edge_set(self._edges, self.plan.p)
         self.output = found

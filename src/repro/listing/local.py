@@ -15,14 +15,13 @@ standalone exhaustive-search baseline of experiment E8.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 import networkx as nx
 
 from repro.congest.cost import CostAccountant
-from repro.graphs.cliques import Clique, canonical_clique
+from repro.graphs.cliques import Clique, cliques_through_vertex
 
 
 def exhaustive_rounds_bound(alpha: int) -> int:
@@ -31,32 +30,6 @@ def exhaustive_rounds_bound(alpha: int) -> int:
     The constant is 2 (announce + answer), matching the protocol sketch.
     """
     return max(0, 2 * alpha)
-
-
-def cliques_through_vertex(graph: nx.Graph, vertex: int, p: int) -> set[Clique]:
-    """All ``K_p`` of ``graph`` containing ``vertex`` (local computation).
-
-    This is exactly what the vertex can compute after learning its induced
-    neighbourhood: every clique through ``v`` consists of ``v`` plus a
-    ``(p-1)``-clique among its neighbours.
-    """
-    if p < 1:
-        return set()
-    if p == 1:
-        return {(vertex,)}
-    neighbors = sorted(graph.neighbors(vertex))
-    found: set[Clique] = set()
-    adjacency = {u: set(graph.neighbors(u)) for u in neighbors}
-    def extend(partial: list[int], candidates: list[int]) -> None:
-        if len(partial) == p - 1:
-            found.add(canonical_clique([vertex] + partial))
-            return
-        for position, candidate in enumerate(candidates):
-            remaining = [c for c in candidates[position + 1 :] if c in adjacency[candidate]]
-            extend(partial + [candidate], remaining)
-
-    extend([], neighbors)
-    return found
 
 
 def charge_exhaustive_pass(
@@ -129,7 +102,7 @@ def two_hop_exhaustive_listing(
         charge_exhaustive_pass(graph, vertex_list, alpha, accountant, phase=phase)
     cliques: set[Clique] = set()
     for vertex in vertex_list:
-        cliques |= cliques_through_vertex(graph, vertex, p)
+        cliques |= cliques_through_vertex(graph.adj, vertex, p)
     return ExhaustiveListingOutcome(
         cliques=cliques, rounds=rounds, vertices_processed=len(vertex_list)
     )

@@ -321,7 +321,7 @@ _FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.mark.skipif(not _FORK_AVAILABLE, reason="forked workers unavailable")
-def test_shm_transport_reports_unknown_receiver_like_every_backend():
+def test_forked_worker_reports_unknown_receiver_like_every_backend():
     """A send to a non-existent vertex raises the standard diagnostic.
 
     The worker's stepper validates outgoing traffic before it crosses the

@@ -6,8 +6,15 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.congest.message import words_for_payload
-from repro.graphs.cliques import canonical_clique, enumerate_cliques
+from repro.graphs.cliques import (
+    canonical_clique,
+    cliques_containing_edge,
+    cliques_in_edge_set,
+    enumerate_cliques,
+    triangles_of_vertex,
+)
 from repro.listing import list_triangles
+from repro.listing.local import cliques_through_vertex
 from repro.partition_trees.parts import Partition
 from repro.streaming.chains import build_vertex_chain
 from repro.streaming.stream import MainToken, Stream
@@ -58,6 +65,71 @@ def test_k4_is_subset_closed_over_k3(graph):
         for skip in range(4):
             sub = tuple(sorted(members[:skip] + members[skip + 1 :]))
             assert sub in triangles
+
+
+# ---------------------------------------------------------------------------
+# The clique kernel against an independent oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle(graph, p):
+    """``K_p`` of ``graph`` by ``networkx.enumerate_all_cliques`` (sizes ascend)."""
+    found = set()
+    for clique in nx.enumerate_all_cliques(graph):
+        if len(clique) > p:
+            break
+        if len(clique) == p:
+            found.add(tuple(sorted(clique)))
+    return found
+
+
+@st.composite
+def looped_graphs(draw):
+    graph = draw(small_graphs(max_vertices=11))
+    n = graph.number_of_nodes()
+    graph.add_edges_from((v, v) for v in draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    return graph
+
+
+@st.composite
+def messy_edge_lists(draw):
+    """A graph's edges, each kept, reversed or doubled, plus self-loops, shuffled."""
+    graph = draw(looped_graphs())
+    edges = []
+    for u, v in graph.edges:
+        shape = draw(st.sampled_from(["kept", "reversed", "doubled"]))
+        edges += {"kept": [(u, v)], "reversed": [(v, u)], "doubled": [(v, u), (u, v)]}[shape]
+    return draw(st.permutations(edges))
+
+
+@given(looped_graphs())
+@settings(max_examples=40, deadline=None)
+def test_kernel_whole_graph_matches_networkx(graph):
+    for p in range(1, 7):
+        assert enumerate_cliques(graph, p) == _oracle(graph, p)
+
+
+@given(messy_edge_lists())
+@settings(max_examples=40, deadline=None)
+def test_kernel_edge_list_matches_networkx(edges):
+    for p in range(1, 7):
+        assert cliques_in_edge_set(edges, p) == _oracle(nx.Graph(edges), p)
+
+
+@given(looped_graphs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_through_vertex_matches_networkx(graph, data):
+    vertex = data.draw(st.sampled_from(sorted(graph.nodes)))
+    adjacency = {v: set(graph.neighbors(v)) for v in graph.nodes}
+    for p in range(1, 7):
+        expected = {clique for clique in _oracle(graph, p) if vertex in clique}
+        assert cliques_through_vertex(graph.adj, vertex, p) == expected
+        assert cliques_through_vertex(adjacency, vertex, p) == expected
+    assert triangles_of_vertex(graph, vertex) == {c for c in _oracle(graph, 3) if vertex in c}
+    for u in graph.neighbors(vertex):
+        if u != vertex:
+            expected = {c for c in _oracle(graph, 4) if u in c and vertex in c}
+            assert cliques_containing_edge(graph, (u, vertex), 4) == expected
 
 
 # ---------------------------------------------------------------------------
