@@ -3,24 +3,37 @@
 The reference simulator materialises every word fragment in a per-edge deque
 and pops one per edge per round — faithful, but ``O(directed edges)`` of
 Python work *every round*.  The :class:`WordScheduler` here computes, at
-enqueue time, the exact round in which each message completes under the same
-per-edge FIFO discipline, and then delivers whole rounds by popping a bucket:
-``O(1)`` per transfer plus ``O(deliveries)`` per round, with the per-edge
-occupancy kept in a numpy array.  Intermediate fragments never exist as
-Python objects, yet the word accounting (one word per busy edge per round)
-is reproduced exactly via a difference array over rounds.
+enqueue time, the exact round in which each transfer completes under the
+same per-edge FIFO discipline, and then delivers whole rounds by popping a
+bucket.  Intermediate fragments never exist as Python objects, yet the word
+accounting (one word per busy edge per round) is reproduced exactly via a
+difference array over rounds.
 
-Under a faulty :class:`~repro.engine.scenarios.DeliveryScenario` the
-scheduler consumes the scenario's **batch transmit mask**
-(:meth:`~repro.engine.scenarios.DeliveryScenario.transmit_mask`): for the
-edges of a batch it materialises the per-(edge, round) decision matrix over
-a growing round window and turns it into per-edge cumulative-transmission
-prefix sums — the round in which a transfer's ``k``-th word crosses is the
-position of the ``k``-th set bit at/after the transfer's start.  That keeps
-faulty-scenario scheduling inside numpy for every scenario with a native
-kernel (all built-ins), while scenarios that only implement the scalar
-``transmits`` fall back to the per-round replay — in both cases agreeing
-word-for-word with the edge-by-edge reference under the same scenario.
+Each batch goes through one FIFO grouping pass (rows sharing a directed
+edge queue behind each other in enqueue order) and then exactly one of two
+completion rules, chosen by the scenario's ``is_clean``:
+
+* **clean** — a transfer of ``w`` words completes ``w`` rounds after it
+  starts (pure arithmetic);
+* **kernel** — the scheduler materialises the scenario's batch transmit
+  mask (:meth:`~repro.engine.scenarios.DeliveryScenario.transmit_mask`)
+  over a growing round window and turns it into per-edge
+  cumulative-transmission prefix sums: the round in which a transfer's
+  ``k``-th word crosses is the position of the ``k``-th set bit at/after
+  its start.
+
+A scenario that implements only the scalar ``transmits`` takes the kernel
+rule too, through the base ``transmit_mask`` that replays ``transmits`` per
+``(edge, round)``: correct, but at Python speed.  Either way the result
+agrees word-for-word with the edge-by-edge reference under the same
+scenario.
+
+Rows are opaque to the scheduler: :meth:`WordScheduler.schedule_batch`
+takes a tuple of per-row columns and :meth:`WordScheduler.deliver_batch`
+returns them in completion order.  :class:`BatchTransport` (the vector
+layer) passes ``(senders, receivers, values)`` dense arrays;
+:class:`MessageTransport` passes a single object column of ``Message``
+objects.
 """
 
 from __future__ import annotations
@@ -81,17 +94,21 @@ class GraphIndex:
 
 
 class WordScheduler:
-    """Schedules whole transfers; delivers completed messages per round.
+    """Schedules whole transfers; delivers completed rows per round.
 
     Per directed edge the scheduler keeps only the last occupied round
     (``edge_free_at``, a numpy int64 array).  A transfer of ``w`` words
     enqueued in round ``r`` on edge ``e`` starts at
-    ``max(edge_free_at[e] + 1, r)`` and, under the clean scenario, completes
-    ``w`` rounds later — exactly the FIFO head-of-line behaviour of the
-    per-edge deques in the reference simulator.  Under a faulty scenario
-    with a batch kernel the completion round comes from prefix sums over
-    the scenario's transmit mask; kernel-less scenarios replay the scalar
-    decisions per transfer.
+    ``max(edge_free_at[e] + 1, r)``; transfers sharing an edge in one batch
+    queue behind each other in enqueue order — exactly the FIFO
+    head-of-line behaviour of the per-edge deques in the reference
+    simulator.  Under the clean scenario a transfer completes ``w`` rounds
+    after its start; under any other scenario the completion round comes
+    from prefix sums over the scenario's transmit mask.
+
+    Each enqueued row carries caller-defined columns (parallel arrays, one
+    entry per transfer) that :meth:`deliver_batch` hands back, in the
+    round the transfer completes, stably ordered by enqueue order.
 
     The scheduler binds the scenario to its graph's edge order at
     construction, so a scenario instance schedules for one graph at a time
@@ -107,8 +124,8 @@ class WordScheduler:
     ):
         self.index = index
         self.scenario = scenario if scenario is not None else CleanSynchronous()
-        # Observability sink; the batch-enqueue paths emit one scheduler
-        # event per round when (and only when) the tracer is enabled.
+        # Observability sink; every bulk enqueue emits one scheduler event
+        # when (and only when) the tracer is enabled.
         self.tracer = tracer
         # Exclusive bound on executed rounds (the run's max_rounds): a
         # faulty scenario may block an edge forever, and the completion
@@ -118,12 +135,9 @@ class WordScheduler:
         if not self.scenario.is_clean:
             self.scenario.bind_edges(index.edges)
         self.edge_free_at = np.full(len(index.edge_ids), -1, dtype=np.int64)
-        self._buckets: dict[int, list[Message]] = defaultdict(list)
-        # Array-mode buckets (the vector layer): per completion round, a
-        # list of (senders, receivers, values) dense-id array chunks.
-        self._array_buckets: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = (
-            defaultdict(list)
-        )
+        # Per completion round, the column chunks of the rows completing
+        # in it (one tuple of parallel arrays per enqueue batch).
+        self._buckets: dict[int, list[tuple[np.ndarray, ...]]] = defaultdict(list)
         # Difference array over rounds: +1 when an edge starts carrying a
         # word in a round, -1 the round after it stops.  The running sum is
         # the number of words crossing the cut in each round.
@@ -133,32 +147,6 @@ class WordScheduler:
 
     # -- completion-round computation ----------------------------------------
 
-    def _transfer_done(self, edge: Edge, edge_id: int, round_index: int, words: int) -> int:
-        """Completion round of one transfer; updates occupancy and word levels."""
-        start = max(int(self.edge_free_at[edge_id]) + 1, round_index)
-        if self.scenario.is_clean:
-            done = start + words - 1
-            self._level_diff[start] += 1
-            self._level_diff[done + 1] -= 1
-        else:
-            crossings = self.scenario.transfer_schedule(
-                edge, start, words, self.horizon
-            )
-            for crossing in crossings:
-                self._level_diff[crossing] += 1
-                self._level_diff[crossing + 1] -= 1
-            if len(crossings) < words:
-                # The scenario blocks this edge past the run's horizon: the
-                # message never completes.  Park it one round beyond the
-                # last executable round so it stays pending (the reference
-                # simulator likewise keeps its queue non-empty forever) and
-                # occupies the edge for any traffic queued behind it.
-                done = self.horizon
-            else:
-                done = crossings[-1]
-        self.edge_free_at[edge_id] = done
-        return done
-
     def _kernel_completions(
         self,
         edge_rows: np.ndarray,
@@ -166,7 +154,7 @@ class WordScheduler:
         needed: np.ndarray,
         query_group: np.ndarray,
         query_k: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, int, int]:
         """Per-transfer completion rounds from transmit-mask prefix sums.
 
         ``edge_rows[g]`` queues ``needed[g]`` words starting at
@@ -174,8 +162,10 @@ class WordScheduler:
         ``query_group[i]``'s ``query_k[i]``-th word crosses (``query_k`` is
         the cumulative word count within the group's FIFO, so the answer is
         the position of the ``k``-th set mask bit at/after the start).
-        Queries the horizon cuts off resolve to ``horizon`` — the parked
-        never-completes convention of :meth:`_transfer_done`.
+        Queries the horizon cuts off resolve to ``horizon``: the scenario
+        blocks the edge past the run's last round, so the transfer stays
+        pending (as the reference simulator's queue stays non-empty) and
+        occupies the edge for any traffic queued behind it.
 
         The scenario's transmit mask is materialised over an adaptively
         sized round window per iteration; within a window the per-edge
@@ -183,6 +173,8 @@ class WordScheduler:
         ``searchsorted``, and the per-round word-level histogram (crossings
         consumed by this batch, capped at each edge's demand) feeds the
         difference array without ever extracting individual crossings.
+        Also returns how many windows the search materialised and their
+        total column width (the tracer's searchsorted batch-size figures).
         """
         groups = int(edge_rows.size)
         counts = np.zeros(groups, dtype=np.int64)
@@ -193,20 +185,15 @@ class WordScheduler:
         horizon = self.horizon
         level_diff = self._level_diff
         width = int(min(max(int(needed.max()) + 16, _WINDOW_MIN), _WINDOW_CAP))
-        # Window statistics for the tracer: how many adaptive windows the
-        # search materialised and their total column width (the batched
-        # searchsorted sizes).  Plain int bumps — negligible next to the
-        # mask materialisation they describe.
-        self._last_windows = 0
-        self._last_window_cols = 0
+        windows = window_cols = 0
         while pending.size:
             lo = int(cursor[pending].min())
             hi = min(lo + width, horizon)
             if hi <= lo:
                 break
             num = hi - lo
-            self._last_windows += 1
-            self._last_window_cols += num
+            windows += 1
+            window_cols += num
             mask = self.scenario.transmit_mask(edge_rows[pending], lo, num)
             if lo < int(cursor[pending].max()):
                 cols = np.arange(num, dtype=np.int64)
@@ -272,175 +259,84 @@ class WordScheduler:
             else:
                 width = width * 2
             width = int(min(max(width, _WINDOW_MIN), _WINDOW_CAP))
-        return done
+        return done, windows, window_cols
 
     def _schedule_transfers(
         self, edge_ids: np.ndarray, words: np.ndarray, round_index: int
     ) -> np.ndarray:
         """Completion rounds (original array order) of a batch of transfers.
 
-        Semantics are identical to calling :meth:`_transfer_done` once per
-        row in array order — including FIFO queueing when the same directed
-        edge appears more than once — with occupancy (``edge_free_at``) and
-        the word-level difference array updated.  Three paths: clean
-        (pure arithmetic), scenario kernel (prefix sums over the transmit
-        mask), scalar fallback (per-transfer decision replay for scenarios
-        without a kernel).
+        Rows sharing a directed edge form one FIFO group, queued in array
+        order behind the edge's earlier traffic; occupancy
+        (``edge_free_at``) and the word-level difference array are
+        updated.  Clean scenarios complete by arithmetic, every other
+        scenario by prefix sums over its transmit mask.
         """
         count = int(edge_ids.size)
-        scenario = self.scenario
-        if scenario.is_clean:
-            order = np.argsort(edge_ids, kind="stable")
-            e = edge_ids[order]
-            w = words[order]
-            positions = np.arange(count)
-            group_first = np.empty(count, dtype=bool)
-            group_first[0] = True
-            group_first[1:] = e[1:] != e[:-1]
-            first_index = np.maximum.accumulate(
-                np.where(group_first, positions, 0)
-            )
-            # Within an edge's FIFO group, transfer k starts right after the
-            # cumulative words of transfers 0..k-1 queued before it.
-            cumulative = np.cumsum(w)
-            preceding = cumulative - w
-            offset = preceding - preceding[first_index]
-            base = np.maximum(self.edge_free_at[e] + 1, round_index)
-            start = base[first_index] + offset
-            done_sorted = start + w - 1
-            group_last = np.empty(count, dtype=bool)
-            group_last[-1] = True
-            group_last[:-1] = group_first[1:]
-            self.edge_free_at[e[group_last]] = done_sorted[group_last]
-            for r, c in zip(*np.unique(start, return_counts=True)):
-                self._level_diff[int(r)] += int(c)
-            for r, c in zip(*np.unique(done_sorted + 1, return_counts=True)):
-                self._level_diff[int(r)] -= int(c)
-            done = np.empty(count, dtype=np.int64)
-            done[order] = done_sorted
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.scheduler_batch(
-                    round_index,
-                    path="clean",
-                    transfers=count,
-                    edges=int(group_first.sum()),
-                    deferred=int((done > round_index).sum()),
-                )
-            return done
-        if scenario.has_kernel:
-            # Group FIFO traffic per edge, then answer "in which round does
-            # this edge's k-th word cross?" with one prefix-sum search per
-            # batch instead of a per-round Python replay per transfer.
-            order = np.argsort(edge_ids, kind="stable")
-            e = edge_ids[order]
-            w = words[order]
-            group_first = np.empty(count, dtype=bool)
-            group_first[0] = True
-            group_first[1:] = e[1:] != e[:-1]
-            first_pos = np.flatnonzero(group_first)
-            group_sizes = np.diff(np.append(first_pos, count))
-            group_ids = np.cumsum(group_first) - 1
-            u_edges = e[first_pos]
-            cumulative = np.cumsum(w)
-            group_base = cumulative[first_pos] - w[first_pos]
-            cum_within = cumulative - np.repeat(group_base, group_sizes)
-            last_pos = np.append(first_pos[1:], count) - 1
-            totals = cum_within[last_pos]
-            starts = np.maximum(self.edge_free_at[u_edges] + 1, round_index)
-            done_sorted = self._kernel_completions(
+        order = np.argsort(edge_ids, kind="stable")
+        e = edge_ids[order]
+        w = words[order]
+        group_first = np.empty(count, dtype=bool)
+        group_first[0] = True
+        group_first[1:] = e[1:] != e[:-1]
+        first_pos = np.flatnonzero(group_first)
+        group_sizes = np.diff(np.append(first_pos, count))
+        group_ids = np.repeat(np.arange(first_pos.size), group_sizes)
+        u_edges = e[first_pos]
+        # Words queued on the group's edge up to and including each row.
+        cumulative = np.cumsum(w)
+        group_base = cumulative[first_pos] - w[first_pos]
+        cum_within = cumulative - np.repeat(group_base, group_sizes)
+        last_pos = np.append(first_pos[1:], count) - 1
+        totals = cum_within[last_pos]
+        starts = np.maximum(self.edge_free_at[u_edges] + 1, round_index)
+        windows = window_cols = 0
+        if self.scenario.is_clean:
+            # A group occupies its edge for ``totals`` consecutive rounds.
+            done_sorted = starts[group_ids] + cum_within - 1
+            level_diff = self._level_diff
+            for r, c in zip(*np.unique(starts, return_counts=True)):
+                level_diff[int(r)] += int(c)
+            for r, c in zip(*np.unique(starts + totals, return_counts=True)):
+                level_diff[int(r)] -= int(c)
+            path = "clean"
+        else:
+            done_sorted, windows, window_cols = self._kernel_completions(
                 u_edges, starts, totals, group_ids, cum_within
             )
-            self.edge_free_at[u_edges] = done_sorted[last_pos]
-            done = np.empty(count, dtype=np.int64)
-            done[order] = done_sorted
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.scheduler_batch(
-                    round_index,
-                    path="kernel",
-                    transfers=count,
-                    edges=int(u_edges.size),
-                    deferred=int((done > round_index).sum()),
-                    windows=self._last_windows,
-                    window_cols=self._last_window_cols,
-                )
-            return done
-        # Scalar fallback: the scenario only implements per-(edge, round)
-        # ``transmits``; replay decisions per transfer in array order.
-        edges = self.index.edges
+            path = "kernel"
+        self.edge_free_at[u_edges] = done_sorted[last_pos]
         done = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            edge_id = int(edge_ids[i])
-            done[i] = self._transfer_done(
-                edges[edge_id], edge_id, round_index, int(words[i])
-            )
+        done[order] = done_sorted
         tracer = self.tracer
         if tracer.enabled:
             tracer.scheduler_batch(
                 round_index,
-                path="scalar",
+                path=path,
                 transfers=count,
-                edges=int(np.unique(edge_ids).size),
+                edges=int(u_edges.size),
                 deferred=int((done > round_index).sum()),
+                windows=windows,
+                window_cols=window_cols,
             )
         return done
 
-    # -- enqueueing -----------------------------------------------------------
-
-    def schedule_messages(
-        self,
-        messages: Sequence[Message],
-        words: Sequence[int],
-        round_index: int,
-    ) -> None:
-        """Bulk-enqueue message objects (one round's outgoing traffic).
-
-        Semantics are identical to enqueueing the messages one at a time
-        in sequence order — including FIFO queueing when the same directed
-        edge appears more than once — but completion rounds are computed
-        for the whole batch at once, which keeps faulty-scenario scheduling
-        vectorized for every kernel scenario.
-        """
-        count = len(messages)
-        if count == 0:
-            return
-        edge_lookup = self.index.edge_ids
-        edge_ids = np.fromiter(
-            (edge_lookup[(m.sender, m.receiver)] for m in messages),
-            dtype=np.int64,
-            count=count,
-        )
-        words_array = np.asarray(words, dtype=np.int64)
-        done = self._schedule_transfers(edge_ids, words_array, round_index)
-        buckets = self._buckets
-        for message, when in zip(messages, done.tolist()):
-            buckets[when].append(message)
-        self.pending_messages += count
+    # -- enqueueing and delivery ----------------------------------------------
 
     def schedule_batch(
         self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
+        columns: tuple[np.ndarray, ...],
         edge_ids: np.ndarray,
         words: np.ndarray,
-        values: np.ndarray,
         round_index: int,
     ) -> None:
-        """Bulk-enqueue transfers described by dense arrays (the vector layer).
+        """Bulk-enqueue one round's transfers, one row per transfer.
 
-        ``senders`` / ``receivers`` are dense vertex ids, ``edge_ids`` the
-        matching directed-edge ids of this scheduler's :class:`GraphIndex`,
-        ``words`` the per-transfer word counts, and ``values`` the payload
-        words handed back verbatim by :meth:`deliver_batch`.  Semantics are
-        identical to :meth:`schedule_messages` over the rows in array order —
-        including FIFO queueing when the same directed edge appears more
-        than once — and the whole computation stays in numpy for the clean
-        scenario and for every scenario with a batch kernel.
-
-        Completed rounds must then be drained with :meth:`deliver_batch`;
-        a scheduler instance uses either the message-object API or the
-        array API for a whole run, never both.
+        ``edge_ids`` are directed-edge ids of this scheduler's
+        :class:`GraphIndex`, ``words`` the per-transfer word counts, and
+        ``columns`` parallel per-row arrays (any dtype) handed back
+        verbatim by :meth:`deliver_batch`.  Semantics are identical to
+        enqueueing the rows one at a time in array order.
         """
         count = int(edge_ids.size)
         if count == 0:
@@ -448,52 +344,38 @@ class WordScheduler:
         done = self._schedule_transfers(edge_ids, words, round_index)
         bucket_order = np.argsort(done, kind="stable")
         done_sorted = done[bucket_order]
-        boundaries = np.flatnonzero(
-            np.r_[True, done_sorted[1:] != done_sorted[:-1]]
-        )
-        boundaries = np.append(boundaries, count)
-        for k in range(len(boundaries) - 1):
-            lo, hi = int(boundaries[k]), int(boundaries[k + 1])
+        cuts = (np.flatnonzero(done_sorted[1:] != done_sorted[:-1]) + 1).tolist()
+        lows = [0] + cuts
+        buckets = self._buckets
+        for when, lo, hi in zip(done_sorted[lows].tolist(), lows, cuts + [count]):
+            # A copy per completion round, not a view: a view would keep the
+            # batch's whole column (and every message in it) alive until
+            # its last row is delivered.
             rows = bucket_order[lo:hi]
-            self._array_buckets[int(done_sorted[lo])].append(
-                (senders[rows], receivers[rows], values[rows])
-            )
+            buckets[when].append(tuple([column[rows] for column in columns]))
         self.pending_messages += count
-
-    # -- delivery -------------------------------------------------------------
 
     def deliver_batch(
         self, round_index: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Array form of :meth:`deliver`: (senders, receivers, values, words).
+    ) -> tuple[tuple[np.ndarray, ...] | None, int, int]:
+        """``(columns, count, words)`` of the rows completing in ``round_index``.
 
-        Must be called once per executed round, in increasing round order,
-        after that round's :meth:`schedule_batch` calls.
+        ``columns`` is ``None`` when nothing completes; ``words`` is the
+        number of words crossing the cut in the round.  Must be called once
+        per executed round, in increasing round order, after that round's
+        :meth:`schedule_batch` call.
         """
         self._level += self._level_diff.pop(round_index, 0)
-        chunks = self._array_buckets.pop(round_index, None)
+        chunks = self._buckets.pop(round_index, None)
         if not chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, self._level
+            return None, 0, self._level
         if len(chunks) == 1:
-            senders, receivers, values = chunks[0]
+            columns = chunks[0]
         else:
-            senders = np.concatenate([c[0] for c in chunks])
-            receivers = np.concatenate([c[1] for c in chunks])
-            values = np.concatenate([c[2] for c in chunks])
-        self.pending_messages -= int(senders.size)
-        return senders, receivers, values, self._level
-
-    def deliver(self, round_index: int) -> tuple[list[Message], int]:
-        """Messages completing in ``round_index`` and words crossed in it.
-
-        Must be called once per executed round, in increasing round order,
-        after that round's :meth:`schedule_messages` call.
-        """
-        self._level += self._level_diff.pop(round_index, 0)
-        completed = self._buckets.pop(round_index, [])
-        self.pending_messages -= len(completed)
-        return completed, self._level
+            columns = tuple([np.concatenate(parts) for parts in zip(*chunks)])
+        count = len(columns[0])
+        self.pending_messages -= count
+        return columns, count, self._level
 
     @property
     def has_pending(self) -> bool:
@@ -556,18 +438,31 @@ class MessageTransport:
         return self.scheduler.pending_messages
 
     def schedule(self, outgoing: Sequence[Message], round_index: int) -> None:
+        count = len(outgoing)
+        if count == 0:
+            return
         cache = self._words_cache
         cache.clear()
-        n = self.scheduler.index.n
-        words = [payload_words(message, n, cache) for message in outgoing]
-        # One bulk enqueue per round: completion rounds for the whole batch
-        # come from a single transmit-mask prefix-sum query, so faulty
-        # kernel scenarios schedule as fast as clean ones.
-        self.scheduler.schedule_messages(outgoing, words, round_index)
+        scheduler = self.scheduler
+        n = scheduler.index.n
+        edge_lookup = scheduler.index.edge_ids
+        edge_ids = np.fromiter(
+            (edge_lookup[(m.sender, m.receiver)] for m in outgoing),
+            dtype=np.int64,
+            count=count,
+        )
+        words = np.fromiter(
+            (payload_words(m, n, cache) for m in outgoing),
+            dtype=np.int64,
+            count=count,
+        )
+        messages = np.fromiter(outgoing, dtype=object, count=count)
+        scheduler.schedule_batch((messages,), edge_ids, words, round_index)
 
     def deliver(self, round_index: int) -> tuple[list[Message], int, int]:
-        delivered, words_crossed = self.scheduler.deliver(round_index)
-        return delivered, len(delivered), words_crossed
+        columns, count, words_crossed = self.scheduler.deliver_batch(round_index)
+        delivered = columns[0].tolist() if count else []
+        return delivered, count, words_crossed
 
     def trace_round(self, round_index: int, delivered: list[Message]) -> None:
         self.scheduler.tracer.messages_delivered(round_index, delivered)
@@ -582,11 +477,9 @@ class BatchTransport(MessageTransport):
 
     def schedule(self, sends, round_index: int) -> None:
         self.scheduler.schedule_batch(
-            sends.senders,
-            sends.receivers,
+            (sends.senders, sends.receivers, sends.values),
             sends.edge_ids,
             sends.words,
-            sends.values,
             round_index,
         )
 
@@ -594,17 +487,16 @@ class BatchTransport(MessageTransport):
         self, round_index: int
     ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
         scheduler = self.scheduler
-        senders, receivers, values, words_crossed = scheduler.deliver_batch(
-            round_index
-        )
+        columns, count, words_crossed = scheduler.deliver_batch(round_index)
+        if not count:
+            empty = np.empty(0, dtype=np.int64)
+            return (empty, empty, empty), 0, words_crossed
         tracer = scheduler.tracer
-        if tracer.enabled and tracer.record_messages and senders.size:
+        if tracer.enabled and tracer.record_messages:
             # Pre-drop record of what crossed the wire this round, taken
             # before the stepper filters the arrays.
-            tracer.arrays_delivered(
-                round_index, senders, receivers, values, scheduler.index.nodes
-            )
-        return (senders, receivers, values), int(senders.size), words_crossed
+            tracer.arrays_delivered(round_index, *columns, scheduler.index.nodes)
+        return columns, count, words_crossed
 
     def trace_round(self, round_index: int, delivered) -> None:
         """Nothing to add: :meth:`deliver` already recorded the arrays."""

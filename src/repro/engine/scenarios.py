@@ -22,17 +22,17 @@ Every scenario exposes the decision function twice:
   :class:`~repro.engine.delivery.WordScheduler` consumes when computing
   completion rounds by prefix sums.
 
-The built-in scenarios implement native numpy kernels for the batch form
-(``has_kernel = True``): the per-``(edge, round)`` decision is a
+The built-in scenarios override the batch form with native numpy kernels:
+the per-``(edge, round)`` decision is a
 `splitmix64 <https://prng.di.unimi.it/splitmix64.c>`_ finalizer applied to a
 per-edge blake2b base hash combined with the round (or burst window) index,
 computable as pure ``uint64`` array arithmetic.  The scalar ``transmits``
 evaluates the *same* integer formula, so both forms agree call-for-call —
 a guarantee pinned by the property suite (``tests/test_scenario_kernels.py``).
-User scenarios only need to implement ``transmits``: the default
-``transmit_mask`` replays it element-wise (correct everywhere, just not
-vectorized — see the README's Performance section for when that fallback
-fires and how to add a kernel).
+User scenarios only need to implement ``transmits``: the base
+``transmit_mask`` replays it element-wise, so the scheduler takes the same
+mask path for them, one Python call per ``(edge, round)`` of each window —
+see the README's Performance section for that cost and how to add a kernel.
 
 Batch queries address edges by the dense ids of a
 :class:`~repro.engine.delivery.GraphIndex`; :meth:`DeliveryScenario.bind_edges`
@@ -204,22 +204,15 @@ class DeliveryScenario(ABC):
     """Decides per (directed edge, round) whether a word crosses.
 
     Attributes:
-        is_clean: ``True`` when ``transmits`` is constantly ``True``; lets
-            batch schedulers skip the decision replay entirely and compute
-            delivery rounds arithmetically.
-        has_kernel: ``True`` when :meth:`transmit_mask` is a native numpy
-            kernel; the scheduler then computes faulty-scenario completion
-            rounds by prefix sums over the mask instead of replaying the
-            scalar ``transmits`` per round.  The default ``False`` keeps
-            every ``transmits``-only user scenario working (the base
-            ``transmit_mask`` loops the scalar form).
+        is_clean: ``True`` when ``transmits`` is constantly ``True``; the
+            batch scheduler then computes delivery rounds arithmetically
+            and never queries the mask.
         name: registry key when the class is registered via
             :func:`repro.engine.registry.register_scenario`; registered
             classes are selectable by name wherever a scenario is accepted.
     """
 
     is_clean: bool = False
-    has_kernel: bool = False
     # Link faults: whether ``transmits`` can ever say no.  Scenarios whose
     # faults live entirely at the vertices (crash-stop, Byzantine) set this
     # ``False`` so the schedulers keep the clean arithmetic fast path.
@@ -265,8 +258,8 @@ class DeliveryScenario(ABC):
         """Boolean matrix: ``[i, j]`` is ``transmits(edge_ids[i], first_round + j)``.
 
         The base implementation replays the scalar :meth:`transmits` per
-        element, so every scenario supports the batch form; kernels
-        (``has_kernel = True``) override with array arithmetic.  Requires
+        element, so every scenario supports the batch form; kernel
+        scenarios override it with array arithmetic.  Requires
         :meth:`bind_edges` to have associated ids with edges.
         """
         edges = self._bound_edges
@@ -283,32 +276,6 @@ class DeliveryScenario(ABC):
             for j in range(num_rounds):
                 row[j] = self.transmits(edge, first_round + j)
         return mask
-
-    def transfer_schedule(
-        self, edge: Edge, start_round: int, words: int, horizon: int | None = None
-    ) -> list[int]:
-        """Rounds in which the ``words`` words of one transfer cross.
-
-        The transfer occupies the edge from ``start_round`` until the last
-        returned round; the result has at most ``words`` entries, one per
-        word, in increasing round order.  Used by batch schedulers to
-        replay the same decisions the edge-by-edge simulator would make.
-
-        ``horizon`` bounds the replay (exclusive): a scenario that blocks
-        an edge forever would otherwise never accumulate ``words``
-        successes.  Callers that execute at most ``max_rounds`` rounds pass
-        that as the horizon; a short result then means the transfer does
-        not complete within the run.
-        """
-        if self.is_clean:
-            return list(range(start_round, start_round + words))
-        schedule: list[int] = []
-        round_index = start_round
-        while len(schedule) < words and (horizon is None or round_index < horizon):
-            if self.transmits(edge, round_index):
-                schedule.append(round_index)
-            round_index += 1
-        return schedule
 
     # -- vertex-fault interface ----------------------------------------------
     #
@@ -405,7 +372,6 @@ class CleanSynchronous(DeliveryScenario):
     """The standard fault-free synchronous CONGEST model."""
 
     is_clean = True
-    has_kernel = True
     has_link_faults = False
 
     def transmits(self, edge: Edge, round_index: int) -> bool:
@@ -434,7 +400,6 @@ class LinkDropScenario(_VertexHashMixin, DeliveryScenario):
     deterministic across processes and backends.
     """
 
-    has_kernel = True
     _hash_label = "link-drop"
 
     def __init__(self, drop_probability: float = 0.1, seed: int = 0):
@@ -484,7 +449,6 @@ class AdversarialDelayScenario(_VertexHashMixin, DeliveryScenario):
     worst case for algorithms that rely on lockstep arrival.
     """
 
-    has_kernel = True
     _hash_label = "adv-delay"
 
     def __init__(self, stall_period: int = 4, seed: int = 0):
@@ -549,8 +513,6 @@ class BurstyFaultScenario(_VertexHashMixin, DeliveryScenario):
     transfers always complete eventually.  Decisions are pure functions of
     ``(edge, round)``, reproducible across all backends.
     """
-
-    has_kernel = True
 
     def __init__(
         self,
@@ -672,8 +634,6 @@ class HeterogeneousBandwidthScenario(_VertexHashMixin, DeliveryScenario):
     choosing uniformly from ``capacities``.
     """
 
-    has_kernel = True
-
     def __init__(
         self,
         capacities: Sequence[float] = (1.0, 0.5, 0.25),
@@ -773,9 +733,9 @@ class ComposedScenario(DeliveryScenario):
 
     Parts may be scenario instances or registry names.  Decisions remain
     pure functions of ``(edge, round)``, so composition preserves the
-    cross-backend reproducibility guarantee of the leaf scenarios; when
-    every part has a native batch kernel the composition does too (overlay
-    ANDs the part masks, sequential splices them at the phase boundaries).
+    cross-backend reproducibility guarantee of the leaf scenarios; the
+    batch form composes the parts' masks (overlay ANDs them, sequential
+    splices them at the phase boundaries).
 
     A composed tree serialises into experiment specs: name the
     ``"composed"`` scenario with the nested parameter form produced by
@@ -822,7 +782,6 @@ class ComposedScenario(DeliveryScenario):
             self.durations = ()
             self._boundaries = ()
         self.is_clean = all(part.is_clean for part in self.parts)
-        self.has_kernel = all(part.has_kernel for part in self.parts)
         self.has_link_faults = any(part.has_link_faults for part in self.parts)
         self.has_vertex_faults = any(part.has_vertex_faults for part in self.parts)
         self.is_adaptive = any(part.is_adaptive for part in self.parts)

@@ -541,7 +541,16 @@ class DistributedListingDriver:
             plan = plan_two_hop_protocol(blueprint.working, blueprint.listers, p=3)
             add_edge_learning(plan, blueprint.owner_edges)
         else:
-            plan, predicted = self._plan_kp_cluster(task)
+            # Lemma 41-style exhaustive pass over all core vertices (p >= 4):
+            # every clique containing a residual edge between two core
+            # vertices has a core endpoint, which lists it from its
+            # full-graph 2-hop view.
+            plan, predicted = self._plan_exhaustive(
+                task.graph,
+                sorted(task.core),
+                self.p,
+                phase=f"level{task.level}-c{task.cluster_index}:core-exhaustive",
+            )
         return self._execute(
             plan,
             accountant=task.accountant,
@@ -551,28 +560,23 @@ class DistributedListingDriver:
             phase=f"level{task.level}-c{task.cluster_index}:engine",
         )
 
-    def _plan_kp_cluster(
-        self, task: ClusterTask
+    def _plan_exhaustive(
+        self, graph: nx.Graph, listers: list[int], p: int, phase: str
     ) -> tuple[ClusterProtocolPlan, CostAccountant]:
-        """Lemma 41-style exhaustive pass over all core vertices (p >= 4).
+        """The 2-hop protocol for ``listers`` and its predicted cost.
 
-        Every clique containing a residual edge between two core vertices
-        has a core endpoint, which lists it from its full-graph 2-hop
-        view; the communication graph is the subgraph induced on the
-        closed neighbourhood of the core, which contains that view.
+        The communication graph is the subgraph induced on the closed
+        neighbourhood of ``listers``, which contains every lister's
+        full-graph 2-hop view.
         """
-        core = sorted(task.core)
-        closure = set(core)
-        for vertex in core:
-            closure.update(task.graph.neighbors(vertex))
-        comm_graph = nx.Graph(task.graph.subgraph(closure))
-        plan = plan_two_hop_protocol(comm_graph, core, p=self.p)
-        predicted = self._new_accountant(task.graph.number_of_nodes())
-        alpha = max((task.graph.degree(v) for v in core), default=1)
-        charge_exhaustive_pass(
-            task.graph, core, max(1, alpha), predicted,
-            phase=f"level{task.level}-c{task.cluster_index}:core-exhaustive",
-        )
+        closure = set(listers)
+        for vertex in listers:
+            closure.update(graph.neighbors(vertex))
+        comm_graph = nx.Graph(graph.subgraph(closure))
+        plan = plan_two_hop_protocol(comm_graph, listers, p=p)
+        predicted = self._new_accountant(graph.number_of_nodes())
+        alpha = max((graph.degree(v) for v in listers), default=1)
+        charge_exhaustive_pass(graph, listers, max(1, alpha), predicted, phase=phase)
         return plan, predicted
 
     # -- fallback ----------------------------------------------------------------
@@ -591,15 +595,8 @@ class DistributedListingDriver:
         ``G`` and list every clique through themselves.
         """
         endpoints = sorted({u for e in residual for u in e})
-        closure = set(endpoints)
-        for vertex in endpoints:
-            closure.update(graph.neighbors(vertex))
-        comm_graph = nx.Graph(graph.subgraph(closure))
-        plan = plan_two_hop_protocol(comm_graph, endpoints, p=p)
-        predicted = self._new_accountant(graph.number_of_nodes())
-        alpha = max((graph.degree(v) for v in endpoints), default=1)
-        charge_exhaustive_pass(
-            graph, endpoints, max(1, alpha), predicted, phase="fallback-exhaustive"
+        plan, predicted = self._plan_exhaustive(
+            graph, endpoints, p, phase="fallback-exhaustive"
         )
         return self._execute(
             plan,

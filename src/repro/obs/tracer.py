@@ -4,8 +4,8 @@ A :class:`Tracer` is the one observability hook threaded through every
 engine layer: the backends emit round begin/end events (with wall time and
 the round's delivered/word/dropped totals), the
 :class:`~repro.engine.delivery.WordScheduler` emits per-batch scheduling
-events (which path ran — clean arithmetic, transmit-mask kernel, or the
-scalar fallback — plus window statistics of the kernel search), the sharded
+events (which completion rule ran — clean arithmetic or transmit-mask
+kernel — plus window statistics of the kernel search), the sharded
 backend emits per-worker barrier waits, and every layer contributes *spans* — named wall-time
 buckets (``compute``, ``schedule``, ``deliver``, ``barrier`` …) that roll up
 into the per-layer time budget :meth:`Tracer.span_totals` and onto
@@ -278,12 +278,11 @@ class Tracer:
     ) -> None:
         """One :class:`~repro.engine.delivery.WordScheduler` bulk enqueue.
 
-        ``path`` names which scheduling path ran — ``"clean"`` (pure
-        arithmetic), ``"kernel"`` (transmit-mask prefix sums), or
-        ``"scalar"`` (the per-transfer fallback for scenarios without a
-        batch kernel).  For the kernel path ``windows`` / ``window_cols``
-        count the adaptive round windows materialised and their total
-        column width — the searchsorted batch-size statistics.
+        ``path`` names the completion rule that ran — ``"clean"`` (pure
+        arithmetic) or ``"kernel"`` (transmit-mask prefix sums, for every
+        scenario that is not clean).  For the kernel path ``windows`` /
+        ``window_cols`` count the adaptive round windows materialised and
+        their total column width — the searchsorted batch-size statistics.
         """
         self._emit(
             {

@@ -76,7 +76,6 @@ _FLIP_SALT = 0xC0AC29B7C97C50DD
 class _VertexFaultBase(_VertexHashMixin, DeliveryScenario):
     """Shared machinery: seeded faulty-set selection over bound nodes."""
 
-    has_kernel = True
     has_link_faults = False
     has_vertex_faults = True
 

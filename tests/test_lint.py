@@ -291,23 +291,10 @@ class TestRep005RegistryHygiene:
         """
         assert findings_for(bad, "REP005")
 
-    def test_bad_has_kernel_without_transmit_mask(self):
-        bad = """
-        @register_scenario("burst")
-        class Burst:
-            has_kernel = True
-
-            def transmits(self, r, e):
-                return True
-        """
-        assert findings_for(bad, "REP005")
-
     def test_good_complete_scenario(self):
         good = """
         @register_scenario("drop")
         class Drop:
-            has_kernel = True
-
             def __init__(self, probability):
                 self.probability = probability
 

@@ -92,7 +92,26 @@ def composed_scenarios(draw, depth: int = 1):
     return ComposedScenario(parts, mode="sequential", durations=durations)
 
 
-any_scenario = st.one_of(leaf_scenarios(), composed_scenarios())
+class TransmitsOnly(DeliveryScenario):
+    """A scenario with the scalar decision only: the base mask replays it."""
+
+    def __init__(self, inner: DeliveryScenario):
+        self.inner = inner
+
+    def _bind_kernel(self, edges):
+        self.inner.bind_edges(edges)
+
+    def transmits(self, edge, round_index):
+        return self.inner.transmits(edge, round_index)
+
+    def describe(self):
+        return f"TransmitsOnly({self.inner.describe()})"
+
+
+kernel_scenarios = st.one_of(leaf_scenarios(), composed_scenarios())
+any_scenario = st.one_of(
+    kernel_scenarios, kernel_scenarios.map(TransmitsOnly)
+)
 
 EDGES = (
     [(i, (i * 7 + 3) % 23) for i in range(20)]
@@ -153,7 +172,7 @@ def test_every_registered_scenario_declares_a_working_mask():
         assert (mask == expected).all(), name
 
 
-def test_scalar_fallback_mask_replays_transmits():
+def test_default_mask_replays_transmits():
     """A transmits-only user scenario gets a correct (looped) mask for free."""
 
     class EveryThird(DeliveryScenario):
@@ -161,7 +180,6 @@ def test_scalar_fallback_mask_replays_transmits():
             return round_index % 3 != 0
 
     scenario = EveryThird()
-    assert not scenario.has_kernel
     scenario.bind_edges(EDGES)
     mask = scenario.transmit_mask(np.array([0, 1]), 0, 9)
     assert (mask == np.array([[False, True, True] * 3] * 2)).all()
@@ -212,6 +230,18 @@ def _reference_delivery(plan, scenario, horizon):
     return delivered, levels
 
 
+def _schedule(scheduler, batch, round_index):
+    """Enqueue ``(message, words)`` rows with a message-object column."""
+    column = np.empty(len(batch), dtype=object)
+    column[:] = [message for message, _ in batch]
+    edge_ids = np.array(
+        [scheduler.index.edge_ids[(m.sender, m.receiver)] for m, _ in batch],
+        dtype=np.int64,
+    )
+    words = np.array([w for _, w in batch], dtype=np.int64)
+    scheduler.schedule_batch((column,), edge_ids, words, round_index)
+
+
 def _run_scheduler(plan, scenario, index, horizon):
     scheduler = WordScheduler(index, scenario, horizon=horizon)
     by_round = defaultdict(list)
@@ -221,13 +251,10 @@ def _run_scheduler(plan, scenario, index, horizon):
     levels = {}
     last = max(by_round, default=0)
     for round_index in range(horizon):
-        batch = by_round.get(round_index, [])
-        scheduler.schedule_messages(
-            [m for m, _ in batch], [w for _, w in batch], round_index
-        )
-        messages, level = scheduler.deliver(round_index)
+        _schedule(scheduler, by_round.get(round_index, []), round_index)
+        columns, count, level = scheduler.deliver_batch(round_index)
         levels[round_index] = level
-        for message in messages:
+        for message in columns[0] if count else ():
             delivered[id(message)] = round_index
         if round_index > last and not scheduler.has_pending:
             break
@@ -306,7 +333,6 @@ def test_blocked_edge_parks_at_horizon_in_bulk_path():
 
     class Blackout(CleanSynchronous):
         is_clean = False
-        has_kernel = True
 
         def transmits(self, edge, round_index):
             return False
@@ -317,12 +343,12 @@ def test_blocked_edge_parks_at_horizon_in_bulk_path():
     graph = nx.path_graph(3)
     index = GraphIndex(graph)
     scheduler = WordScheduler(index, Blackout(), horizon=50)
-    scheduler.schedule_messages(
-        [Message(0, 1, "t", 0), Message(0, 1, "t", 0)], [3, 2], 0
+    _schedule(
+        scheduler, [(Message(0, 1, "t", 0), 3), (Message(0, 1, "t", 0), 2)], 0
     )
     for round_index in range(50):
-        messages, level = scheduler.deliver(round_index)
-        assert not messages and level == 0
+        columns, count, level = scheduler.deliver_batch(round_index)
+        assert columns is None and count == 0 and level == 0
     assert scheduler.has_pending
 
 
