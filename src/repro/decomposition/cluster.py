@@ -25,12 +25,10 @@ from typing import Iterable
 
 import networkx as nx
 
+from repro.graphs.cliques import canonical_edge
+
 Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
-
-
-def _canonical_edge(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +42,7 @@ def core_vertices(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[int]:
     Formally (Section 2): vertices ``v`` of the cluster with
     ``deg_{E_i}(v) >= deg_{E \\ E_i}(v)``.
     """
-    cluster_edges = {_canonical_edge(*e) for e in cluster_edges}
+    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
     degree_inside: dict[int, int] = {}
     for u, v in cluster_edges:
         degree_inside[u] = degree_inside.get(u, 0) + 1
@@ -59,7 +57,7 @@ def core_vertices(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[int]:
 
 def core_edge_set(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[Edge]:
     """``E_i^-``: cluster edges whose both endpoints are core vertices."""
-    cluster_edges = {_canonical_edge(*e) for e in cluster_edges}
+    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
     core = core_vertices(graph, cluster_edges)
     return {e for e in cluster_edges if e[0] in core and e[1] in core}
 
@@ -67,13 +65,13 @@ def core_edge_set(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[Edge]:
 def augmented_edge_set(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[Edge]:
     """``E_i^+ = E_i ∪ E(V_i^\\circ, V_i^\\circ)``: cluster edges plus all
     graph edges between core vertices (Section 6.1)."""
-    cluster_edges = {_canonical_edge(*e) for e in cluster_edges}
+    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
     core = core_vertices(graph, cluster_edges)
     augmented = set(cluster_edges)
     for u in core:
         for w in graph.neighbors(u):
             if w in core:
-                augmented.add(_canonical_edge(u, w))
+                augmented.add(canonical_edge(u, w))
     return augmented
 
 
@@ -153,7 +151,7 @@ class CommunicationCluster:
     def core_edges(self) -> set[Edge]:
         """Edges of the cluster between two ``V_C^-`` vertices."""
         return {
-            _canonical_edge(u, v)
+            canonical_edge(u, v)
             for u, v in self.cluster_graph.edges
             if u in self.v_minus and v in self.v_minus
         }
@@ -180,7 +178,7 @@ def build_communication_cluster(
     phi: float = 0.0,
 ) -> CommunicationCluster:
     """Build a :class:`CommunicationCluster` from an edge set of ``graph``."""
-    edges = [_canonical_edge(*e) for e in cluster_edges]
+    edges = [canonical_edge(*e) for e in cluster_edges]
     cluster_graph = nx.Graph()
     cluster_graph.add_edges_from(edges)
     return CommunicationCluster(
@@ -201,7 +199,7 @@ class K3CompatibleCluster(CommunicationCluster):
     def from_edges(
         cls, graph: nx.Graph, cluster_edges: Iterable[Edge], phi: float = 0.0
     ) -> "K3CompatibleCluster":
-        edges = [_canonical_edge(*e) for e in cluster_edges]
+        edges = [canonical_edge(*e) for e in cluster_edges]
         cluster_graph = nx.Graph()
         cluster_graph.add_edges_from(edges)
         big_k = cluster_graph.number_of_nodes()
@@ -247,7 +245,7 @@ class KpCompatibleCluster(CommunicationCluster):
     ) -> "KpCompatibleCluster":
         if p <= 3:
             raise ValueError("KpCompatibleCluster requires p > 3; use K3CompatibleCluster")
-        edges = [_canonical_edge(*e) for e in cluster_edges]
+        edges = [canonical_edge(*e) for e in cluster_edges]
         cluster_graph = nx.Graph()
         cluster_graph.add_edges_from(edges)
         n = graph.number_of_nodes()

@@ -21,6 +21,7 @@ from repro.graphs.cliques import (
     enumerate_cliques,
     count_cliques,
     canonical_clique,
+    canonical_edge,
     cliques_containing_edge,
 )
 
@@ -41,5 +42,6 @@ __all__ = [
     "enumerate_cliques",
     "count_cliques",
     "canonical_clique",
+    "canonical_edge",
     "cliques_containing_edge",
 ]

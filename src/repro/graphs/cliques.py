@@ -38,7 +38,13 @@ from typing import Hashable, Iterable, Mapping
 import networkx as nx
 
 Clique = tuple[int, ...]
+Edge = tuple[int, int]
 Adjacency = Mapping[Hashable, Iterable[Hashable]]
+
+
+def canonical_edge(u: int, v: int) -> Edge:
+    """Canonical (sorted pair) representation of an undirected edge."""
+    return (u, v) if u <= v else (v, u)
 
 
 def canonical_clique(vertices: Iterable[int]) -> Clique:

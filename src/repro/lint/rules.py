@@ -658,8 +658,6 @@ _TRACER_EVENT_METHODS = frozenset(
         "arrays_delivered",
         "scheduler_batch",
         "barrier_wait",
-        "shm_block",
-        "shm_overflow",
         "event",
         "cell_begin",
         "cell_end",

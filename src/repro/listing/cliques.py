@@ -1,10 +1,11 @@
 """Deterministic ``K_p`` listing in ``n^{1-2/p+o(1)}`` rounds, ``p >= 4`` (Theorem 36).
 
 The outer recursion (Lemmas 38/39) is shared with the triangle algorithm;
-the per-cluster work implements Lemma 37:
+the per-cluster work implements Lemma 37 on the same
+:class:`~repro.listing.triangles.ClusterBlueprint` as Lemma 34:
 
 * core vertices whose cluster degree is below ``β · n^{1-2/p}`` are handled by
-  exhaustive 2-hop search (Lemma 41 via Lemma 35);
+  exhaustive 2-hop search in ``G`` (Lemma 41 via Lemma 35);
 * the high-degree vertices ``V_C^-`` import the boundary edges ``E_bar`` and
   the outside edges ``E'`` they may need (Lemma 43 / Definition 24), then for
   every ``2 <= p' <= p`` build a ``(p', p)``-split ``K_p``-partition tree
@@ -12,22 +13,25 @@ the per-cluster work implements Lemma 37:
   each leaf owner learns the edges between its part's ancestor parts and
   reports the ``K_p`` instances it sees.  Theorem 23 guarantees that every
   clique with exactly ``p'`` vertices in ``V_C^-`` is caught by some leaf.
+
+The blueprint charges the exhaustive passes and one Theorem 6 edge delivery
+per split tree, and extracts the cliques centrally.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.congest.cost import RoutingOverhead
+from repro.congest.cost import CostAccountant, RoutingOverhead
 from repro.decomposition.cluster import KpCompatibleCluster
 from repro.decomposition.routing import ClusterRouter
-from repro.graphs.cliques import Clique, cliques_in_edge_set
-from repro.listing.local import two_hop_exhaustive_listing
+from repro.graphs.cliques import Clique, cliques_in_edge_set  # noqa: F401  (profiled lookup site)
+from repro.listing.local import two_hop_exhaustive_listing  # noqa: F401  (profiled lookup site)
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
+from repro.listing.triangles import ClusterBlueprint, TriangleListing
 from repro.partition_trees.split_tree import construct_split_kp_tree
 
 Edge = tuple[int, int]
@@ -66,53 +70,54 @@ class CliqueListing:
         )
         return driver.run(graph, self._handle_cluster)
 
-    # -- Lemma 37: listing inside one cluster ----------------------------------
+    # -- Lemma 37: the cluster blueprint ---------------------------------------
 
-    def _handle_cluster(self, task: ClusterTask) -> set[Clique]:
-        working = task.working_graph()
+    def blueprint_cluster(self, task: ClusterTask, accountant: CostAccountant) -> ClusterBlueprint:
+        """Compute the Lemma 37 work division for one cluster.
+
+        The Lemma 43 import and the split-tree constructions (Theorem 26)
+        are performed here and charged to ``accountant``.  Lemma 41: core
+        vertices below the degree threshold are exhausted in
+        ``O(n^{1-2/p})`` rounds; they list from the full graph so instances
+        leaving the cluster are caught too.
+        """
         n = task.graph.number_of_nodes()
         delta = self.beta * (n ** (1.0 - 2.0 / self.p))
-        found: set[Clique] = set()
-
-        # Lemma 41: core vertices below the degree threshold are exhausted in
-        # O(n^{1-2/p}) rounds; their cliques are listed from the full graph so
-        # instances leaving the cluster are caught too.
-        low_core = [v for v in task.core if working.degree(v) < delta]
-        if low_core:
-            outcome = two_hop_exhaustive_listing(
-                task.graph, low_core, p=self.p,
-                alpha=max(1, math.ceil(2 * delta)),
-                accountant=task.accountant,
-                phase=f"level{task.level}-c{task.cluster_index}:low-degree",
-            )
-            found |= outcome.cliques
-
         cluster = KpCompatibleCluster.from_edges(
             task.graph, task.working_edges, p=self.p, delta=delta
         )
+        blueprint = ClusterBlueprint(
+            p=self.p,
+            cluster=cluster,
+            working=task.graph,
+            prefix=task.prefix,
+            low_degree=[v for v in task.core if cluster.communication_degree(v) < delta],
+            alpha=max(1, math.ceil(2 * delta)),
+        )
         members = cluster.ordered_members()
         if len(members) < 2:
-            return found
-        router = ClusterRouter(
-            cluster=cluster, accountant=task.accountant,
-            phase_prefix=f"level{task.level}-c{task.cluster_index}",
-        )
-
+            return blueprint
+        router = ClusterRouter(cluster=cluster, accountant=accountant, phase_prefix=task.prefix)
         self._import_outside_edges(task, cluster, router)
-
         if len(members) < self.p:
             # Too few high-degree vertices to host the split-tree machinery:
             # exhaust them directly (their count is O(p), so this is cheap).
-            outcome = two_hop_exhaustive_listing(
-                task.graph, members, p=self.p,
-                accountant=task.accountant,
-                phase=f"level{task.level}-c{task.cluster_index}:tiny-core",
-            )
-            return found | outcome.cliques
-
+            blueprint.tiny_core = members
+            return blueprint
         for p_prime in range(2, self.p + 1):
-            found |= self._list_with_split_tree(task, cluster, router, p_prime)
-        return found
+            result = construct_split_kp_tree(
+                cluster, p=self.p, p_prime=p_prime, router=router,
+                check_constraints=self.check_tree_constraints,
+            )
+            blueprint.learn_leaf_edges(
+                result, result.split.adj, f"lemma37-edge-learning-p{p_prime}"
+            )
+        return blueprint
+
+    def _handle_cluster(self, task: ClusterTask) -> set[Clique]:
+        blueprint = self.blueprint_cluster(task, task.accountant)
+        blueprint.charge(task.accountant)
+        return blueprint.cliques()
 
     # -- Lemma 43 / Theorem 31: building the K_p-compatible input ----------------
 
@@ -163,57 +168,6 @@ class CliqueListing:
         )
         router.broadcast(total_words=max(1, len(holder_of)), phase="lemma45-degstar")
 
-    # -- Theorem 26 + final listing step of Lemma 37 -----------------------------
-
-    def _list_with_split_tree(
-        self,
-        task: ClusterTask,
-        cluster: KpCompatibleCluster,
-        router: ClusterRouter,
-        p_prime: int,
-    ) -> set[Clique]:
-        result = construct_split_kp_tree(
-            cluster, p=self.p, p_prime=p_prime, router=router,
-            check_constraints=self.check_tree_constraints,
-        )
-        if self.check_tree_constraints and result.violations:
-            raise AssertionError(
-                f"split tree (p'={p_prime}) violates Definition 22: "
-                + "; ".join(result.violations[:3])
-            )
-        tree = result.tree
-        split = result.split
-        found: set[Clique] = set()
-        received_load: dict[int, int] = {}
-        for (path, part_index), owner in result.assignment.owner.items():
-            node = tree.node_at(path)
-            ancestors = tree.ancestor_parts(node, part_index)
-            learned: set[Edge] = set()
-            for first, second in itertools.combinations(range(len(ancestors)), 2):
-                learned |= split.edges_between(
-                    ancestors[first].vertices(), ancestors[second].vertices()
-                )
-            received_load[owner] = received_load.get(owner, 0) + len(learned)
-            found |= cliques_in_edge_set(learned, self.p)
-
-        # Final edge-delivery step of Lemma 37: every V^- vertex pushes its
-        # edges to the leaf owners that need them.  Loads are
-        # degree-proportional (each edge is sent ~n^{1-2/p} times, each owner
-        # receives ~n^{1-2/p} deg(v) edges), so Theorem 6 routes them in
-        # ~n^{1-2/p} * n^{o(1)} rounds.
-        members = cluster.ordered_members()
-        a = max(1.0, len(members) ** (1.0 / self.p))
-        load_per_degree = a
-        for owner, received in received_load.items():
-            degree = max(1, cluster.communication_degree(owner))
-            load_per_degree = max(load_per_degree, received / degree)
-        router.route_proportional(
-            load_per_degree=load_per_degree,
-            total_words=sum(received_load.values()),
-            phase=f"lemma37-edge-learning-p{p_prime}",
-        )
-        return found
-
 
 def list_cliques(graph: nx.Graph, p: int, **kwargs) -> ListingResult:
     """List all ``K_p`` of ``graph`` with the paper's deterministic algorithm.
@@ -222,7 +176,5 @@ def list_cliques(graph: nx.Graph, p: int, **kwargs) -> ListingResult:
     ``p = 3`` and to :class:`CliqueListing` for ``p >= 4``.
     """
     if p == 3:
-        from repro.listing.triangles import TriangleListing
-
         return TriangleListing(**kwargs).run(graph)
     return CliqueListing(p=p, **kwargs).run(graph)

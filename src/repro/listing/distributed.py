@@ -22,19 +22,24 @@ tolerates) and run in parallel, so a level's measured round cost is the
 maximum over its cluster executions, exactly mirroring the cost model's
 accounting.
 
-Two message protocols implement the per-cluster work of Lemma 34:
+A triangle cluster execution compiles a
+:class:`~repro.listing.triangles.ClusterBlueprint`, the work division that
+the cost-model listings of Lemma 34 and Lemma 37 share, into two message
+protocols:
 
-* **Exhaustive 2-hop listing** (Lemma 35): every lister announces its
-  adjacency list to all neighbours; each neighbour replies with the subset
-  of the announced vertices it is adjacent to.  The lister then knows its
-  induced 2-hop neighbourhood and locally lists every clique through
-  itself.  The engine fragments the multi-word announcements and replies,
-  so the measured round count reflects the real ``O(alpha)`` pipelining.
-* **Partition-tree edge learning** (step 2 of Lemma 34): each ``V_C^*``
-  leaf-part owner must learn the edges running between its part's ancestor
-  parts.  Edge endpoints inject one packet per demanded edge; packets are
-  forwarded hop-by-hop along precomputed shortest paths inside the working
-  graph, under the model's one-word-per-edge bandwidth constraint.
+* **Exhaustive 2-hop listing** (Lemma 35) for the blueprint's listers:
+  every lister announces its adjacency list to all neighbours; each
+  neighbour replies with the subset of the announced vertices it is
+  adjacent to.  The lister then knows its induced 2-hop neighbourhood and
+  locally lists every clique through itself.  The engine fragments the
+  multi-word announcements and replies, so the measured round count
+  reflects the real ``O(alpha)`` pipelining.
+* **Partition-tree edge learning** for the blueprint's ``owner_edges``:
+  each leaf-part owner must learn the edges running between its part's
+  ancestor parts.  Edge endpoints inject one packet per demanded edge;
+  packets are forwarded hop-by-hop along precomputed shortest paths inside
+  the working graph, under the model's one-word-per-edge bandwidth
+  constraint.
 
 Centralized preprocessing
 -------------------------
@@ -52,10 +57,13 @@ cover the communication the protocol actually performs.  This is the
 cost-model vs. measured-execution distinction: predictions include the
 ``n^{o(1)}`` preprocessing terms, measurements are real message rounds.
 
-For ``p >= 4`` the split-tree machinery of Lemma 37 is not yet ported;
-the distributed ``K_p`` handler runs the Lemma 41-style exhaustive pass
-over all core vertices instead (correct, but with ``O(Delta)``-type round
-cost rather than ``n^{1-2/p+o(1)}``).
+For ``p = 3`` the blueprint is the one
+:meth:`~repro.listing.triangles.TriangleListing.predict_cluster_cost`
+builds.  For ``p >= 4`` the Lemma 37 blueprint
+(:meth:`~repro.listing.cliques.CliqueListing.blueprint_cluster`) is not
+compiled yet; the distributed ``K_p`` handler runs the Lemma 41-style
+exhaustive pass over all core vertices instead (correct, but with
+``O(Delta)``-type round cost rather than ``n^{1-2/p+o(1)}``).
 """
 
 from __future__ import annotations
@@ -67,15 +75,14 @@ from typing import Hashable, Iterable
 
 import networkx as nx
 
-from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
+from repro.congest.cost import CostAccountant, RoutingOverhead
 from repro.congest.message import Message
-from repro.congest.metrics import CongestMetrics
 from repro.congest.vertex import VertexAlgorithm
 from repro.engine.backend import Backend
 from repro.engine.runner import resolve_backend
 from repro.engine.scenarios import DeliveryScenario, resolve_scenario
 from repro.experiments.session import Session
-from repro.graphs.cliques import Clique, cliques_in_edge_set
+from repro.graphs.cliques import Clique, canonical_edge, cliques_in_edge_set
 from repro.listing.local import charge_exhaustive_pass, cliques_through_vertex
 from repro.listing.recursion import (
     ClusterTask,
@@ -85,10 +92,6 @@ from repro.listing.recursion import (
 from repro.listing.triangles import TriangleListing
 
 Edge = tuple[int, int]
-
-
-def _canonical(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +209,7 @@ class ListingVertex(VertexAlgorithm):
         self._neighbor_set = set(self.neighbors)
         self._announcements_answered = 0
         self._replies: dict[Hashable, tuple] = {}
-        self._edges: set[Edge] = {_canonical(*e) for e in plan.preloaded_edges}
+        self._edges: set[Edge] = {canonical_edge(*e) for e in plan.preloaded_edges}
         self._edges_received = 0
         self._relayed = 0
         self._initial_sent = False
@@ -230,7 +233,7 @@ class ListingVertex(VertexAlgorithm):
                 demand_id, u, w = message.payload
                 next_hop = plan.forward.get(demand_id)
                 if next_hop is None:
-                    self._edges.add(_canonical(u, w))
+                    self._edges.add(canonical_edge(u, w))
                     self._edges_received += 1
                 else:
                     self._relayed += 1
@@ -333,7 +336,7 @@ def add_edge_learning(
     plans = plan.plans
     demand_id = 0
     for owner in sorted(owner_edges):
-        demands = {_canonical(*e) for e in owner_edges[owner]}
+        demands = {canonical_edge(*e) for e in owner_edges[owner]}
         if not demands:
             continue
         parents, depths = _bfs_tree(comm, owner)
@@ -549,7 +552,7 @@ class DistributedListingDriver:
                 task.graph,
                 sorted(task.core),
                 self.p,
-                phase=f"level{task.level}-c{task.cluster_index}:core-exhaustive",
+                phase=f"{task.prefix}:core-exhaustive",
             )
         return self._execute(
             plan,
@@ -557,7 +560,7 @@ class DistributedListingDriver:
             level=task.level,
             cluster_index=task.cluster_index,
             predicted_rounds=predicted.metrics.rounds,
-            phase=f"level{task.level}-c{task.cluster_index}:engine",
+            phase=f"{task.prefix}:engine",
         )
 
     def _plan_exhaustive(
@@ -610,11 +613,7 @@ class DistributedListingDriver:
     # -- shared execution path ---------------------------------------------------
 
     def _new_accountant(self, n: int) -> CostAccountant:
-        return CostAccountant(
-            n=n,
-            overhead=self.overhead if self.overhead is not None else polylog_overhead(),
-            metrics=CongestMetrics(),
-        )
+        return CostAccountant(n=n, overhead=self.overhead)
 
     def _execute(
         self,

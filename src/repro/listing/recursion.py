@@ -35,14 +35,10 @@ from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.metrics import CongestMetrics
 from repro.decomposition.cluster import core_vertices
 from repro.decomposition.expander import decomposition_round_cost, expander_decompose
-from repro.graphs.cliques import Clique
+from repro.graphs.cliques import Clique, canonical_edge
 from repro.listing.local import two_hop_exhaustive_listing
 
 Edge = tuple[int, int]
-
-
-def _canonical(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass
@@ -73,6 +69,11 @@ class ClusterTask:
     responsibility: set[Edge]
     working_edges: set[Edge]
     accountant: CostAccountant
+
+    @property
+    def prefix(self) -> str:
+        """Metric phase prefix of the cluster's charges."""
+        return f"level{self.level}-c{self.cluster_index}"
 
     def working_graph(self) -> nx.Graph:
         subgraph = nx.Graph()
@@ -200,7 +201,7 @@ class RecursiveListingDriver:
         working = set(cluster_edges)
         for vertex in core:
             for neighbor in graph.neighbors(vertex):
-                working.add(_canonical(vertex, neighbor))
+                working.add(canonical_edge(vertex, neighbor))
         return working
 
     # -- the recursion ----------------------------------------------------------
@@ -214,7 +215,7 @@ class RecursiveListingDriver:
         n = graph.number_of_nodes()
         metrics = CongestMetrics()
         global_accountant = self.new_accountant(n, metrics)
-        all_edges = {_canonical(u, v) for u, v in graph.edges}
+        all_edges = {canonical_edge(u, v) for u, v in graph.edges}
         residual: set[Edge] = set(all_edges)
         cliques: set[Clique] = set()
         reports = 0

@@ -12,6 +12,13 @@ the per-cluster work of Lemma 34:
   leaf part assigned to it, the edges running between the part's ancestor
   parts and reports the triangles it sees.  Theorem 13 guarantees that every
   triangle with all three vertices in ``V_C^-`` is caught by some leaf part.
+
+The module also holds :class:`ClusterBlueprint`, the cluster work division
+that Lemma 34 here and Lemma 37 (:mod:`repro.listing.cliques`) share: both
+finish a cluster with exhaustive listers plus leaf owners that learn their
+ancestor-part edges, so the leaf-owner edge loop, the cost charging and the
+central extraction are written once, for both listings and for the
+distributed driver (:mod:`repro.listing.distributed`).
 """
 
 from __future__ import annotations
@@ -22,58 +29,146 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
-from repro.congest.metrics import CongestMetrics
-from repro.decomposition.cluster import K3CompatibleCluster
+from repro.congest.cost import CostAccountant, RoutingOverhead
+from repro.decomposition.cluster import CommunicationCluster, K3CompatibleCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs.cliques import Clique, cliques_in_edge_set
 from repro.listing.local import charge_exhaustive_pass, two_hop_exhaustive_listing
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
-from repro.partition_trees.construction import construct_k3_partition_tree
+from repro.partition_trees.construction import K3TreeResult, construct_k3_partition_tree
+from repro.partition_trees.split_tree import SplitTreeResult
 from repro.partition_trees.tree import HTreeConstraints
 
 Edge = tuple[int, int]
 
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
+
 
 @dataclass
-class TriangleClusterBlueprint:
-    """The Lemma 34 work division inside one cluster, execution-agnostic.
+class ClusterBlueprint:
+    """The cluster work division of Lemmas 34 and 37, execution-agnostic.
 
     The blueprint separates *what* a cluster computes from *how* it is
-    executed: the cost-model handler charges its communication primitives
-    and extracts the cliques centrally, while the distributed driver
-    (:mod:`repro.listing.distributed`) compiles the same blueprint into a
-    per-vertex message protocol and runs it on the execution engine.
+    executed: the cost-model handlers charge its communication
+    (:meth:`charge`) and extract the cliques centrally (:meth:`cliques`),
+    while the distributed driver (:mod:`repro.listing.distributed`)
+    compiles the same blueprint into a per-vertex message protocol and
+    runs it on the execution engine.
 
     Attributes:
-        cluster: the K3-compatible communication cluster over the
-            augmented (working) edge set.
-        working: the working graph the cluster listing operates on.
-        low_degree: vertices below ``δ = K^{1/3}`` — handled by the
+        p: clique size.
+        cluster: the communication cluster over the working edge set.
+        working: the graph the exhaustive listers list in (the cluster's
+            working graph for triangles, ``G`` itself for Lemma 41).
+        prefix: metric phase prefix of the cluster.
+        low_degree: vertices below the degree threshold — handled by the
             exhaustive 2-hop pass of Lemma 35.
         alpha: degree bound used for the exhaustive pass round cost.
-        tiny_core: ``V_C^-`` members when there are fewer than three of
-            them (exhausted directly instead of building a tree).
-        owner_edges: for every ``V_C^*`` leaf-part owner, the ancestor-part
-            edges it must learn (step 2 of Lemma 34).
-        received_load: per-owner number of learned edge words (before
-            per-owner deduplication), as the cost model charges it.
-        load_per_degree: the ``L`` parameter of the Theorem 6 routing.
+        tiny_core: ``V_C^-`` members when there are too few of them for a
+            partition tree (exhausted directly instead).
+        owner_edges: for every leaf-part owner, the ancestor-part edges it
+            must learn, over all partition trees of the cluster.
+        deliveries: one ``(phase, load_per_degree, words)`` Theorem 6
+            edge delivery per partition tree; ``words`` counts learned
+            edges per leaf, before per-owner deduplication.
     """
 
-    cluster: K3CompatibleCluster
+    p: int
+    cluster: CommunicationCluster
     working: nx.Graph
+    prefix: str
     low_degree: list[int] = field(default_factory=list)
     alpha: int = 1
     tiny_core: list[int] = field(default_factory=list)
     owner_edges: dict[int, set[Edge]] = field(default_factory=dict)
-    received_load: dict[int, int] = field(default_factory=dict)
-    load_per_degree: float = 0.0
+    deliveries: list[tuple[str, float, int]] = field(default_factory=list)
 
     @property
     def listers(self) -> list[int]:
         """Vertices that run the exhaustive 2-hop pass."""
-        return list(self.low_degree) + list(self.tiny_core)
+        return self.low_degree + self.tiny_core
+
+    def learn_leaf_edges(
+        self,
+        result: K3TreeResult | SplitTreeResult,
+        adjacency: dict[int, set[int]],
+        phase: str,
+    ) -> None:
+        """Each leaf owner learns the edges between its leaf's ancestor parts.
+
+        ``adjacency`` maps the tree's vertices to their neighbour sets.
+        Appends the tree's edge delivery: every edge travels
+        ``O(k^{1/p})`` times on the send side and each owner receives its
+        learned edges, so the Theorem 6 load per degree is the larger of
+        the two.
+        """
+        if result.violations:
+            raise AssertionError(
+                f"{phase}: partition tree violates its definition: "
+                + "; ".join(result.violations[:3])
+            )
+        tree = result.tree
+        # One tuple per edge for all its owners: owner sets live as long
+        # as the blueprint, across every tree of the cluster.
+        shared: dict[Edge, Edge] = {}
+        received: dict[int, int] = {}
+        for (path, part_index), owner in result.assignment.owner.items():
+            ancestors = [
+                set(part.vertices())
+                for part in tree.ancestor_parts(tree.node_at(path), part_index)
+            ]
+            learned: set[Edge] = set()
+            for left, right in itertools.combinations(ancestors, 2):
+                for u in left:
+                    for w in adjacency.get(u, _NO_NEIGHBOURS) & right:
+                        edge = (u, w) if u <= w else (w, u)
+                        learned.add(shared.setdefault(edge, edge))
+            received[owner] = received.get(owner, 0) + len(learned)
+            self.owner_edges.setdefault(owner, set()).update(learned)
+        load_per_degree = max(1.0, self.cluster.k ** (1.0 / self.p))
+        for owner, words in received.items():
+            degree = max(1, self.cluster.communication_degree(owner))
+            load_per_degree = max(load_per_degree, words / degree)
+        self.deliveries.append((phase, load_per_degree, sum(received.values())))
+
+    def charge(self, accountant: CostAccountant) -> None:
+        """Charge the exhaustive passes (Lemma 35) and the edge deliveries.
+
+        Tree construction and any edge import were charged while the
+        blueprint was built.
+        """
+        if self.low_degree:
+            charge_exhaustive_pass(
+                self.working, self.low_degree, self.alpha,
+                accountant, phase=f"{self.prefix}:low-degree",
+            )
+        if self.tiny_core:
+            tiny_alpha = max(self.working.degree(v) for v in self.tiny_core)
+            charge_exhaustive_pass(
+                self.working, self.tiny_core, tiny_alpha,
+                accountant, phase=f"{self.prefix}:tiny-core",
+            )
+        router = ClusterRouter(
+            cluster=self.cluster, accountant=accountant, phase_prefix=self.prefix
+        )
+        for phase, load_per_degree, words in self.deliveries:
+            router.route_proportional(
+                load_per_degree=load_per_degree, total_words=words, phase=phase
+            )
+
+    def cliques(self) -> set[Clique]:
+        """Centrally extract the cliques the cluster reports.
+
+        Listers report every clique through themselves in their 2-hop view
+        of ``working`` (Lemma 35); each owner reports the cliques among the
+        ancestor-part edges it learned.  This is exactly what the
+        per-vertex outputs of the distributed protocol union to, which is
+        what makes the two modes output-equivalent.
+        """
+        found = two_hop_exhaustive_listing(self.working, self.listers, p=self.p).cliques
+        for edges in self.owner_edges.values():
+            found |= cliques_in_edge_set(edges, self.p)
+        return found
 
 
 @dataclass
@@ -103,76 +198,44 @@ class TriangleListing:
 
     # -- Lemma 34: the cluster blueprint (shared with the distributed driver) --
 
-    def blueprint_cluster(
-        self, task: ClusterTask, accountant: CostAccountant
-    ) -> TriangleClusterBlueprint:
+    def blueprint_cluster(self, task: ClusterTask, accountant: CostAccountant) -> ClusterBlueprint:
         """Compute the Lemma 34 work division for one cluster.
 
         The partition-tree construction (Theorem 16, via the Theorem 11
         streaming simulation) is performed here and its round cost is
         charged to ``accountant``; the returned blueprint records which
         vertices run the exhaustive pass and which edges each ``V_C^*``
-        owner must learn.  The caller decides how the remaining
-        communication happens: charged to the cost model
-        (:meth:`_handle_cluster`) or executed as per-vertex messages
-        (:mod:`repro.listing.distributed`).
+        owner must learn.
         """
         working = task.working_graph()
         cluster = K3CompatibleCluster.from_edges(task.graph, task.working_edges)
-        delta = cluster.delta
-        blueprint = TriangleClusterBlueprint(
+        blueprint = ClusterBlueprint(
+            p=3,
             cluster=cluster,
             working=working,
-            low_degree=[v for v in working.nodes if working.degree(v) < delta],
-            alpha=max(1, math.ceil(delta)),
+            prefix=task.prefix,
+            low_degree=[v for v in working.nodes if working.degree(v) < cluster.delta],
+            alpha=max(1, math.ceil(cluster.delta)),
         )
         members = cluster.ordered_members()
         if len(members) >= 3:
-            self._plan_high_degree(task, cluster, working, blueprint, accountant)
+            router = ClusterRouter(
+                cluster=cluster, accountant=accountant, phase_prefix=task.prefix
+            )
+            result = construct_k3_partition_tree(
+                cluster, router=router,
+                constraints=HTreeConstraints(p=3),
+                check_constraints=self.check_tree_constraints,
+            )
+            adjacency = {v: set(working.adj[v]) for v in members}
+            blueprint.learn_leaf_edges(result, adjacency, "lemma34-edge-learning")
         elif members:
             blueprint.tiny_core = members
         return blueprint
 
-    def charge_blueprint(
-        self, task: ClusterTask, blueprint: TriangleClusterBlueprint,
-        accountant: CostAccountant,
-    ) -> None:
-        """Charge the communication costs of the blueprint's remaining steps.
-
-        Covers the Lemma 35 exhaustive passes and the Theorem 6 edge
-        delivery; the tree-construction cost was already charged when the
-        blueprint was built.
-        """
-        prefix = f"level{task.level}-c{task.cluster_index}"
-        if blueprint.low_degree:
-            charge_exhaustive_pass(
-                blueprint.working, blueprint.low_degree, blueprint.alpha,
-                accountant, phase=f"{prefix}:low-degree",
-            )
-        if blueprint.tiny_core:
-            tiny_alpha = max(blueprint.working.degree(v) for v in blueprint.tiny_core)
-            charge_exhaustive_pass(
-                blueprint.working, blueprint.tiny_core, tiny_alpha,
-                accountant, phase=f"{prefix}:tiny-core",
-            )
-        # Step 1/2 of Lemma 34: interval announcements plus edge deliveries.
-        # Loads are degree-proportional (each vertex sends each of its edges
-        # O(k^{1/3}) times; each V* owner receives O(k^{1/3} deg(v)) edges),
-        # so the routing of Theorem 6 takes ~k^{1/3} * n^{o(1)} rounds.
-        if blueprint.load_per_degree > 0:
-            router = ClusterRouter(
-                cluster=blueprint.cluster, accountant=accountant,
-                phase_prefix=prefix,
-            )
-            router.route_proportional(
-                load_per_degree=blueprint.load_per_degree,
-                total_words=sum(blueprint.received_load.values()),
-                phase="lemma34-edge-learning",
-            )
-
     def predict_cluster_cost(
         self, task: ClusterTask
-    ) -> tuple[TriangleClusterBlueprint, CostAccountant]:
+    ) -> tuple[ClusterBlueprint, CostAccountant]:
         """Blueprint plus the cost model's round prediction for the cluster.
 
         Used by the distributed driver as the cross-check baseline: the
@@ -180,94 +243,15 @@ class TriangleListing:
         exhaustive passes, Theorem 6 edge delivery) the way the cost-model
         execution mode would.
         """
-        accountant = CostAccountant(
-            n=task.graph.number_of_nodes(),
-            overhead=self.overhead if self.overhead is not None else polylog_overhead(),
-            metrics=CongestMetrics(),
-        )
+        accountant = CostAccountant(n=task.graph.number_of_nodes(), overhead=self.overhead)
         blueprint = self.blueprint_cluster(task, accountant)
-        self.charge_blueprint(task, blueprint, accountant)
+        blueprint.charge(accountant)
         return blueprint, accountant
-
-    # -- Lemma 34: the cost-model execution of the blueprint -------------------
 
     def _handle_cluster(self, task: ClusterTask) -> set[Clique]:
         blueprint = self.blueprint_cluster(task, task.accountant)
-        self.charge_blueprint(task, blueprint, task.accountant)
-        return self.cliques_from_blueprint(blueprint)
-
-    @staticmethod
-    def cliques_from_blueprint(blueprint: TriangleClusterBlueprint) -> set[Clique]:
-        """Centrally extract the triangles a blueprint's cluster reports.
-
-        Listers report every triangle through themselves in their 2-hop
-        working-graph view (Lemma 35); each ``V_C^*`` owner reports the
-        triangles among the ancestor-part edges it learned.  This is
-        exactly what the per-vertex outputs of the distributed protocol
-        union to, which is what makes the two modes output-equivalent.
-        """
-        found: set[Clique] = set()
-        for listers in (blueprint.low_degree, blueprint.tiny_core):
-            if listers:
-                found |= two_hop_exhaustive_listing(
-                    blueprint.working, listers, p=3
-                ).cliques
-        for owner in sorted(blueprint.owner_edges):
-            found |= cliques_in_edge_set(blueprint.owner_edges[owner], 3)
-        return found
-
-    def _plan_high_degree(
-        self,
-        task: ClusterTask,
-        cluster: K3CompatibleCluster,
-        working: nx.Graph,
-        blueprint: TriangleClusterBlueprint,
-        accountant: CostAccountant,
-    ) -> None:
-        """Theorem 16 + step 2 of Lemma 34: who must learn which edges."""
-        members = cluster.ordered_members()
-        core_graph = working.subgraph(members)
-        router = ClusterRouter(
-            cluster=cluster, accountant=accountant,
-            phase_prefix=f"level{task.level}-c{task.cluster_index}",
-        )
-        result = construct_k3_partition_tree(
-            cluster, router=router,
-            constraints=HTreeConstraints(p=3),
-            check_constraints=self.check_tree_constraints,
-        )
-        if self.check_tree_constraints and result.violations:
-            raise AssertionError(
-                "K3-partition tree violates Definition 14: " + "; ".join(result.violations[:3])
-            )
-
-        tree = result.tree
-        assignment = result.assignment
-        owner_edges: dict[int, set[Edge]] = {}
-        received_load: dict[int, int] = {}
-        x = max(1.0, len(members) ** (1.0 / 3.0))
-
-        adjacency = {v: set(core_graph.neighbors(v)) for v in members}
-        for (path, part_index), owner in assignment.owner.items():
-            node = tree.node_at(path)
-            ancestors = tree.ancestor_parts(node, part_index)
-            ancestor_sets = [set(part.vertices()) for part in ancestors]
-            learned: set[Edge] = set()
-            for first, second in itertools.combinations(range(len(ancestor_sets)), 2):
-                left, right = ancestor_sets[first], ancestor_sets[second]
-                for u in left:
-                    for w in adjacency.get(u, ()) & right:
-                        learned.add((u, w) if u <= w else (w, u))
-            received_load[owner] = received_load.get(owner, 0) + len(learned)
-            owner_edges.setdefault(owner, set()).update(learned)
-
-        load_per_degree = x  # the send side: every edge travels O(x) times
-        for owner, received in received_load.items():
-            degree = max(1, cluster.communication_degree(owner))
-            load_per_degree = max(load_per_degree, received / degree)
-        blueprint.owner_edges = owner_edges
-        blueprint.received_load = received_load
-        blueprint.load_per_degree = load_per_degree
+        blueprint.charge(task.accountant)
+        return blueprint.cliques()
 
 
 def list_triangles(graph: nx.Graph, **kwargs) -> ListingResult:

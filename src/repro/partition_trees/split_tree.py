@@ -13,6 +13,7 @@ full tree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -21,6 +22,7 @@ import networkx as nx
 
 from repro.decomposition.cluster import KpCompatibleCluster
 from repro.decomposition.routing import ClusterRouter
+from repro.graphs.cliques import canonical_edge
 from repro.partition_trees.load_balance import balance_by_communication_degree
 from repro.partition_trees.parts import Partition, VertexInterval
 from repro.partition_trees.tree import LeafAssignment, PartitionTree, PartitionTreeNode
@@ -32,8 +34,7 @@ Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
 
 
-def _canonical(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +47,10 @@ class SplitGraph:
     """A split graph (Definition 21).
 
     ``V = V_1 ∪ V_2`` with ``E_1 ⊆ V_1 × V_1``, ``E_2 ⊆ V_2 × V_2`` and
-    ``E_12 ⊆ V_1 × V_2``.  Adjacency dictionaries are precomputed so the
-    layer constructions can query degrees into parts cheaply.
+    ``E_12 ⊆ V_1 × V_2``.  One adjacency dictionary over all three edge
+    classes is precomputed so the layer constructions can query degrees
+    into parts cheaply; the classes share no vertex class, so intersecting
+    a neighbour set with ``V_1`` or ``V_2`` separates them again.
     """
 
     v1: frozenset[int]
@@ -56,23 +59,13 @@ class SplitGraph:
     e2: frozenset[Edge]
     e12: frozenset[Edge]
 
-    adj1: dict[int, set[int]] = field(init=False)
-    adj2: dict[int, set[int]] = field(init=False)
-    adj12: dict[int, set[int]] = field(init=False)
+    adj: dict[int, set[int]] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.adj1 = {}
-        self.adj2 = {}
-        self.adj12 = {}
-        for u, v in self.e1:
-            self.adj1.setdefault(u, set()).add(v)
-            self.adj1.setdefault(v, set()).add(u)
-        for u, v in self.e2:
-            self.adj2.setdefault(u, set()).add(v)
-            self.adj2.setdefault(v, set()).add(u)
-        for u, v in self.e12:
-            self.adj12.setdefault(u, set()).add(v)
-            self.adj12.setdefault(v, set()).add(u)
+        self.adj = {}
+        for u, v in itertools.chain(self.e1, self.e2, self.e12):
+            self.adj.setdefault(u, set()).add(v)
+            self.adj.setdefault(v, set()).add(u)
 
     @classmethod
     def from_cluster(cls, cluster: KpCompatibleCluster) -> "SplitGraph":
@@ -81,12 +74,12 @@ class SplitGraph:
         v1 = frozenset(cluster.v_minus)
         v2 = frozenset(set(cluster.graph.nodes) - set(v1))
         e1 = frozenset(
-            _canonical(u, v) for u, v in cluster.graph.edges
+            canonical_edge(u, v) for u, v in cluster.graph.edges
             if u in v1 and v in v1
         )
-        e12 = frozenset(_canonical(u, v) for u, v in cluster.e_bar)
+        e12 = frozenset(canonical_edge(u, v) for u, v in cluster.e_bar)
         e2 = frozenset(
-            _canonical(u, v) for u, v in cluster.e_prime
+            canonical_edge(u, v) for u, v in cluster.e_prime
             if u in v2 and v in v2
         )
         return cls(v1=v1, v2=v2, e1=e1, e2=e2, e12=e12)
@@ -115,37 +108,30 @@ class SplitGraph:
 
     # -- degree queries ---------------------------------------------------------
 
+    def neighbors(self, vertex: int) -> set[int] | frozenset[int]:
+        """Split-graph neighbours of ``vertex`` (any edge class)."""
+        return self.adj.get(vertex, _NO_NEIGHBOURS)
+
     def deg_into_v1(self, vertex: int) -> int:
         """Degree of ``vertex`` into ``V_1`` (via ``E_1`` or ``E_12``)."""
-        if vertex in self.v1:
-            return len(self.adj1.get(vertex, ()))
-        return len(self.adj12.get(vertex, ()))
+        return len(self.neighbors(vertex) & self.v1)
 
     def deg_into_v2(self, vertex: int) -> int:
         """Degree of ``vertex`` into ``V_2`` (via ``E_2`` or ``E_12``)."""
-        if vertex in self.v2:
-            return len(self.adj2.get(vertex, ()))
-        return len(self.adj12.get(vertex, ()))
+        return len(self.neighbors(vertex) & self.v2)
 
     def deg_into_part(self, vertex: int, part: VertexInterval) -> int:
         """Degree of ``vertex`` into the vertex set of ``part`` (any edge type)."""
-        members = set(part.vertices())
-        neighbors: set[int] = set()
-        neighbors |= self.adj1.get(vertex, set())
-        neighbors |= self.adj2.get(vertex, set())
-        neighbors |= self.adj12.get(vertex, set())
-        return len(neighbors & members)
+        return len(self.neighbors(vertex) & set(part.vertices()))
 
     def edges_between(self, left: Iterable[int], right: Iterable[int]) -> set[Edge]:
         """All split-graph edges with one endpoint in each of the two sets."""
-        left_set, right_set = set(left), set(right)
-        found: set[Edge] = set()
-        for vertex in left_set:
-            for adjacency in (self.adj1, self.adj2, self.adj12):
-                for neighbor in adjacency.get(vertex, ()):
-                    if neighbor in right_set:
-                        found.add(_canonical(vertex, neighbor))
-        return found
+        right_set = set(right)
+        return {
+            (u, w) if u <= w else (w, u)
+            for u in left
+            for w in self.neighbors(u) & right_set
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +352,14 @@ def _interval_sums(
     ancestor_sets = [(depth, set(part.vertices())) for depth, part in ancestors]
     for vertex in vertices:
         sums: dict[str, float] = {}
+        neighbors = split.neighbors(vertex)
         if partitioning_v2:
             sums["deg_2to2"] = float(split.deg_into_v2(vertex))
             sums["deg_2to1"] = float(split.deg_into_v1(vertex))
-            up = 0
-            neighbors = (split.adj2.get(vertex, set()) | split.adj12.get(vertex, set())
-                         | split.adj1.get(vertex, set()))
-            for _, members in ancestor_sets:
-                up += len(neighbors & members)
+            up = sum(len(neighbors & members) for _, members in ancestor_sets)
             sums["up_deg_2to2"] = float(up)
         else:
             sums["deg_1to1"] = float(split.deg_into_v1(vertex))
-            neighbors = (split.adj1.get(vertex, set()) | split.adj12.get(vertex, set())
-                         | split.adj2.get(vertex, set()))
             up_v1 = sum(len(neighbors & members) for depth, members in ancestor_sets if depth >= pi)
             up_v2 = sum(len(neighbors & members) for depth, members in ancestor_sets if depth < pi)
             sums["up_deg_1to1"] = float(up_v1)

@@ -175,6 +175,34 @@ class TestKpListingAccounting:
         assert k4.rounds <= k5.rounds * 1.5  # allow slack: same order, not wildly apart
 
 
+_CHARGE_GRAPHS = {
+    "er90": lambda: erdos_renyi(90, 14.0, seed=7),
+    "planted90": lambda: planted_cliques(90, 5, 8, background_avg_degree=4.0, seed=7),
+    "communities4x20": lambda: clustered_communities(4, 20, intra_p=0.5, inter_p=0.03, seed=7),
+}
+
+
+class TestCostModelCharges:
+    @pytest.mark.parametrize(
+        "graph_name, p, expected",
+        [
+            ("er90", 3, (1197, 21459, 505)),
+            ("er90", 4, (6746, 93830, 42)),
+            ("er90", 5, (12321, 164975, 0)),
+            ("planted90", 4, (1891, 4079, 45)),
+            ("communities4x20", 5, (4397, 30476, 137)),
+        ],
+    )
+    def test_charges_are_pinned(self, graph_name, p, expected):
+        """Rounds, words and reports of the cost model on the E7 graphs.
+
+        The values pin what ``list_cliques`` charges; a refactor of the
+        per-cluster work must leave them exactly as they are.
+        """
+        result = list_cliques(_CHARGE_GRAPHS[graph_name](), p)
+        assert (result.rounds, result.metrics.words, result.reports) == expected
+
+
 class TestValidationReport:
     def test_report_flags_missing_and_spurious(self, tiny_triangle_graph):
         result = list_triangles(tiny_triangle_graph)

@@ -262,6 +262,24 @@ class TestSplitTree:
             assert u in split.v1 and v in split.v1
         for u, v in split.e12:
             assert (u in split.v1) != (v in split.v1)
+        # The merged adjacency answers per-class queries as the edge sets do.
+        assert split.edges_between(split.v1, split.v1) == split.e1
+        assert split.edges_between(split.v2, split.v2) == split.e2
+        assert split.edges_between(split.v1, split.v2) == split.e12
+        for vertex in split.v1 | split.v2:
+            e1 = {e for e in split.e1 if vertex in e}
+            e2 = {e for e in split.e2 if vertex in e}
+            e12 = {e for e in split.e12 if vertex in e}
+            if vertex in split.v1:
+                assert not e2
+                into_v1, into_v2 = e1, e12
+            else:
+                assert not e1
+                into_v1, into_v2 = e12, e2
+            assert split.deg_into_v1(vertex) == len(into_v1)
+            assert split.deg_into_v2(vertex) == len(into_v2)
+            assert split.edges_between([vertex], split.v1) == into_v1
+            assert split.edges_between([vertex], split.v2) == into_v2
 
     def test_split_tree_layer_universes(self):
         _, cluster, router = self._cluster()
