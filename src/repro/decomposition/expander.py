@@ -16,29 +16,49 @@ The construction is the classical recursive sparse-cut argument:
 2. on each connected piece, search for a sweep cut (over the Fiedler vector
    of the normalised Laplacian) of conductance below ``φ``;
 3. if none exists, the piece is certified as a φ-cluster; otherwise remove
-   the cut edges (they join the remainder ``E_r``) and recurse on both sides.
+   the cut edges (they join the remainder ``E_r``) and recurse on both sides,
+   the cut side first.
 
 Charging every removed edge to an endpoint on the smaller-volume side of its
 cut shows each edge is charged ``O(log m)`` times with ``φ`` volume fraction
 per level, so ``|E_r| <= ε |E|`` — the same accounting CS20 and its
-predecessors use.  Because the cut search is spectral and ties are broken by
-vertex identifier, the whole procedure is deterministic.
+predecessors use.
+
+The recursion runs on one ``scipy.sparse`` CSR adjacency, built once per
+call over the sorted vertex ids; a piece is a sorted array of indices into
+it.  Each piece's connected components come from
+``scipy.sparse.csgraph.connected_components`` on its slice and are visited
+in the order of their first vertex in ``graph.nodes``, as
+``nx.connected_components`` yields them, so clusters are numbered in a
+fixed order.  Every piece of at least three vertices gets its Fiedler vector
+from one ARPACK solve: the two largest eigenpairs of ``2I − L``, started
+from the all-ones vector.  The sweep over the Fiedler ordering is
+vectorised: prefix boundaries are the running sum of a difference array over
+each edge's span of positions, prefix volumes the running sum of the
+degrees, and cut edges are found with masks.
+
+The procedure is deterministic: the solver's input, start vector and
+restart seed are fixed, and ties between equal Fiedler entries are broken by
+vertex identifier.  No dense eigensolver runs, so the output does not depend
+on the BLAS thread count either (``tests/test_expander_decomposition.py``
+compares one and two threads).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import networkx as nx
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from repro.congest.cost import CostAccountant
 from repro.graphs.cliques import canonical_edge
-from repro.graphs.properties import conductance_of_cut
 
 Edge = tuple[int, int]
 
@@ -131,37 +151,127 @@ class ExpanderDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Sparse-cut search
+# Sparse-cut search on a CSR adjacency
 # ---------------------------------------------------------------------------
 
+# ARPACK restarts from a random vector when the Krylov space of ``v0`` closes
+# early, as the all-ones start does on a regular piece (there it is an
+# eigenvector).  SciPy versions whose ``eigsh`` takes ``rng`` would draw that
+# vector from fresh OS entropy on every call, so the seed is fixed here.
+_RESTART_SEED = (
+    {"rng": 0} if "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters else {}
+)
 
-def _fiedler_order(graph: nx.Graph) -> list[int]:
-    """Vertices ordered by the Fiedler vector of the normalised Laplacian.
 
-    Deterministic: eigensolver inputs are deterministic and ties between
-    equal vector entries are broken by vertex identifier.
+def _csr_index(graph: nx.Graph) -> tuple[np.ndarray, scipy.sparse.csr_array, np.ndarray]:
+    """``(ids, A, rank)`` of ``graph`` over its sorted vertex ids.
+
+    ``ids[i]`` is the ``i``-th smallest vertex, ``A`` the symmetric 0/1
+    adjacency over those indices (a self-loop is one diagonal entry, as in
+    networkx's adjacency matrix) and ``rank[i]`` the position of ``ids[i]``
+    in ``graph.nodes``.
     """
     nodes = sorted(graph.nodes)
     n = len(nodes)
-    if n <= 2:
-        return nodes
-    laplacian = nx.normalized_laplacian_matrix(graph, nodelist=nodes).astype(float)
-    if n <= 400:
-        eigenvalues, eigenvectors = np.linalg.eigh(laplacian.toarray())
-        fiedler = eigenvectors[:, np.argsort(eigenvalues)[1]]
-    else:
-        # Shift-invert around zero is fragile; use the smallest-magnitude
-        # eigenpairs of the (PSD) normalised Laplacian directly.
-        try:
-            eigenvalues, eigenvectors = scipy.sparse.linalg.eigsh(
-                laplacian, k=2, which="SM", v0=np.ones(n) / math.sqrt(n), maxiter=5000,
-            )
-            fiedler = eigenvectors[:, int(np.argmax(eigenvalues))]
-        except Exception:  # pragma: no cover - solver convergence fallback
-            eigenvalues, eigenvectors = np.linalg.eigh(laplacian.toarray())
-            fiedler = eigenvectors[:, np.argsort(eigenvalues)[1]]
-    order = sorted(range(n), key=lambda i: (fiedler[i], nodes[i]))
-    return [nodes[i] for i in order]
+    position = {vertex: i for i, vertex in enumerate(nodes)}
+    rank = np.empty(n, dtype=np.intp)
+    rank[[position[vertex] for vertex in graph.nodes]] = np.arange(n)
+    ends = np.array(
+        [(position[u], position[v]) for u, v in graph.edges], dtype=np.intp
+    ).reshape(-1, 2)
+    proper = ends[:, 0] != ends[:, 1]
+    rows = np.concatenate([ends[:, 0], ends[proper, 1]])
+    cols = np.concatenate([ends[:, 1], ends[proper, 0]])
+    adjacency = scipy.sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return np.fromiter(nodes, dtype=object, count=n), adjacency, rank
+
+
+def _fiedler_vector(adjacency: scipy.sparse.csr_array) -> np.ndarray:
+    """The Fiedler vector of the normalised Laplacian ``L`` of ``adjacency``.
+
+    One ARPACK solve for the two largest eigenpairs of ``2I - L`` (the
+    spectrum of ``L`` lies in ``[0, 2]``, so these are the two smallest of
+    ``L``), started from the all-ones vector; the eigenvector of the smaller
+    of the two eigenvalues is the Fiedler vector.  A solve that does not
+    converge raises ``ArpackNoConvergence``.
+    """
+    n = adjacency.shape[0]
+    degree = adjacency.sum(axis=1)
+    scale = np.zeros(n)
+    np.divide(1.0, np.sqrt(degree), out=scale, where=degree > 0)
+    root = scipy.sparse.diags_array(scale)
+    # D^{-1/2} (D - A) D^{-1/2}, the same float entries as networkx's
+    # normalized_laplacian_matrix: on symmetric graphs the Fiedler direction
+    # the solver settles on is decided by their rounding.
+    laplacian = root @ ((scipy.sparse.diags_array(degree) - adjacency) @ root)
+    eigenvalues, eigenvectors = scipy.sparse.linalg.eigsh(
+        2.0 * scipy.sparse.eye_array(n) - laplacian,
+        k=2,
+        which="LA",
+        v0=np.ones(n) / math.sqrt(n),
+        **_RESTART_SEED,
+    )
+    return eigenvectors[:, int(np.argmin(eigenvalues))]
+
+
+def _sweep_profile(
+    adjacency: scipy.sparse.csr_array, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Boundary and volume of every proper prefix of a vertex ordering.
+
+    Returns ``(boundary, volume, total)``: entry ``k`` of the two arrays
+    belongs to the prefix ``order[:k + 1]`` (``k < n - 1``), and ``total`` is
+    the volume of the whole graph.  An edge crosses prefix ``k`` exactly when
+    ``k`` lies in ``[first, last)`` of its endpoints' positions, so the
+    running sum of a difference array over those spans gives every boundary
+    at once.  Degrees count a self-loop twice, as networkx does; a loop
+    never crosses a cut.
+    """
+    n = adjacency.shape[0]
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    upper = scipy.sparse.triu(adjacency, k=1, format="coo")
+    first = np.minimum(position[upper.row], position[upper.col])
+    last = np.maximum(position[upper.row], position[upper.col])
+    crossing = np.bincount(first, minlength=n) - np.bincount(last, minlength=n)
+    degree = np.diff(adjacency.indptr) + adjacency.diagonal().astype(np.intp)
+    volume = np.cumsum(degree[order])
+    return np.cumsum(crossing)[:-1], volume[:-1], int(volume[-1])
+
+
+def _first_minimum(boundary: np.ndarray, volume: np.ndarray, total: int) -> tuple[int, float]:
+    """``(k, conductance)`` of the first prefix of least conductance.
+
+    Prefixes with an empty side have no conductance; ``(-1, inf)`` when no
+    prefix has one.
+    """
+    denominator = np.minimum(volume, total - volume)
+    conductance = np.full(len(boundary), math.inf)
+    np.divide(boundary, denominator, out=conductance, where=denominator > 0)
+    best = int(np.argmin(conductance))
+    value = float(conductance[best])
+    return (best, value) if value < math.inf else (-1, math.inf)
+
+
+def _sweep_cut(adjacency: scipy.sparse.csr_array) -> tuple[np.ndarray | None, float]:
+    """Best sweep cut of the Fiedler ordering: (smaller-volume side mask, conductance).
+
+    The ordering sorts vertices by Fiedler entry with ties broken by index,
+    which is vertex id order; ``(None, inf)`` when no prefix has a
+    conductance.
+    """
+    n = adjacency.shape[0]
+    order = np.arange(n) if n <= 2 else np.argsort(_fiedler_vector(adjacency), kind="stable")
+    boundary, volume, total = _sweep_profile(adjacency, order)
+    best, value = _first_minimum(boundary, volume, total)
+    if best < 0:
+        return None, math.inf
+    side = np.zeros(n, dtype=bool)
+    side[order[: best + 1]] = True
+    # Return the smaller-volume side for the charging argument.
+    if total - volume[best] < volume[best]:
+        side = ~side
+    return side, value
 
 
 def sparsest_sweep_cut(graph: nx.Graph) -> tuple[set[int], float]:
@@ -170,43 +280,13 @@ def sparsest_sweep_cut(graph: nx.Graph) -> tuple[set[int], float]:
     Returns the side with the smaller volume.  For graphs with fewer than two
     vertices returns an empty cut with infinite conductance.
     """
-    n = graph.number_of_nodes()
-    if n < 2 or graph.number_of_edges() == 0:
+    if graph.number_of_nodes() < 2 or graph.number_of_edges() == 0:
         return set(), math.inf
-    ordering = _fiedler_order(graph)
-    degrees = dict(graph.degree())
-    total_volume = sum(degrees.values())
-    adjacency = {v: set(graph.neighbors(v)) for v in graph.nodes}
-
-    best_cut: set[int] = set()
-    best_value = math.inf
-    prefix: set[int] = set()
-    prefix_volume = 0
-    boundary = 0
-    for vertex in ordering[:-1]:
-        prefix.add(vertex)
-        prefix_volume += degrees[vertex]
-        inside = len(adjacency[vertex] & prefix)
-        outside = degrees[vertex] - inside
-        boundary += outside - inside
-        denominator = min(prefix_volume, total_volume - prefix_volume)
-        if denominator <= 0:
-            continue
-        value = boundary / denominator
-        if value < best_value:
-            best_value = value
-            best_cut = set(prefix)
-    if not best_cut:
+    ids, adjacency, _ = _csr_index(graph)
+    side, value = _sweep_cut(adjacency)
+    if side is None:
         return set(), math.inf
-    # Return the smaller-volume side for the charging argument.
-    complement = set(graph.nodes) - best_cut
-    if volume_of(graph, complement) < volume_of(graph, best_cut):
-        best_cut = complement
-    return best_cut, best_value
-
-
-def volume_of(graph: nx.Graph, vertices: set[int]) -> int:
-    return sum(graph.degree(v) for v in vertices)
+    return set(ids[side].tolist()), value
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +304,8 @@ def expander_decompose(
     """Compute a deterministic (ε, φ)-expander decomposition.
 
     Args:
-        graph: input graph (vertices must be hashable; integers expected).
+        graph: input graph (vertices must be hashable and mutually
+            comparable; integers expected).
         epsilon: target bound on the remainder fraction ``|E_r| / |E|``.
         phi: conductance threshold.  Defaults to
             ``epsilon / (2 ceil(log2 m) + 2)``, the value for which the
@@ -238,6 +319,7 @@ def expander_decompose(
     Returns:
         An :class:`ExpanderDecomposition` whose clusters are vertex-disjoint
         and certified to contain no sweep cut of conductance below ``phi``.
+        Clusters are numbered in the order the recursion accepts them.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -247,43 +329,58 @@ def expander_decompose(
 
     clusters: list[ExpanderCluster] = []
     remainder: set[Edge] = set()
+    ids, adjacency, rank = _csr_index(graph)
 
-    def certify(piece: nx.Graph) -> float:
-        """Lower bound on the conductance of an accepted piece."""
-        if piece.number_of_nodes() <= 2 or piece.number_of_edges() == 0:
-            return 1.0
-        _, value = sparsest_sweep_cut(piece)
-        return min(1.0, value)
+    def edges(idx: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Iterator[Edge]:
+        # idx and ids are sorted, so row <= col gives u <= v: already canonical.
+        return zip(ids[idx[rows]].tolist(), ids[idx[cols]].tolist())
 
-    def recurse(piece: nx.Graph) -> None:
-        if piece.number_of_edges() == 0:
-            return
-        if not nx.is_connected(piece):
-            for component in nx.connected_components(piece):
-                recurse(piece.subgraph(component).copy())
-            return
-        if piece.number_of_nodes() <= max(2, min_cluster_size):
-            clusters.append(_make_cluster(piece, certify(piece)))
-            return
-        cut, value = sparsest_sweep_cut(piece)
-        if value >= phi or not cut:
-            clusters.append(_make_cluster(piece, max(phi, min(1.0, value))))
-            return
-        other = set(piece.nodes) - cut
-        for u, v in nx.edge_boundary(piece, cut, other):
-            remainder.add(canonical_edge(u, v))
-        recurse(piece.subgraph(cut).copy())
-        recurse(piece.subgraph(other).copy())
-
-    def _make_cluster(piece: nx.Graph, bound: float) -> ExpanderCluster:
-        return ExpanderCluster(
-            index=len(clusters),
-            vertices=frozenset(piece.nodes),
-            edges=frozenset(canonical_edge(u, v) for u, v in piece.edges),
-            conductance_lower_bound=bound,
+    def accept(idx: np.ndarray, piece: scipy.sparse.csr_array, bound: float) -> None:
+        upper = scipy.sparse.triu(piece, format="coo")
+        clusters.append(
+            ExpanderCluster(
+                index=len(clusters),
+                vertices=frozenset(ids[idx].tolist()),
+                edges=frozenset(edges(idx, upper.row, upper.col)),
+                conductance_lower_bound=bound,
+            )
         )
 
-    recurse(graph.copy())
+    def split(idx: np.ndarray) -> None:
+        """Recurse on the connected components of ``idx`` that have edges."""
+        piece = adjacency[idx][:, idx]
+        if piece.nnz == 0:
+            return
+        count, labels = scipy.sparse.csgraph.connected_components(piece, directed=False)
+        if count == 1:
+            cut(idx, piece)
+            return
+        # Visit components in the order of their first vertex in graph.nodes.
+        first = np.full(count, len(ids))
+        np.minimum.at(first, labels, rank[idx])
+        has_edges = np.bincount(labels, weights=np.diff(piece.indptr), minlength=count) > 0
+        for component in np.argsort(first):
+            if has_edges[component]:
+                members = labels == component
+                cut(idx[members], piece[members][:, members])
+
+    def cut(idx: np.ndarray, piece: scipy.sparse.csr_array) -> None:
+        """Certify a connected piece as a cluster, or cut it and recurse."""
+        if len(idx) <= max(2, min_cluster_size):
+            bound = 1.0 if len(idx) <= 2 else min(1.0, _sweep_cut(piece)[1])
+            accept(idx, piece, bound)
+            return
+        side, value = _sweep_cut(piece)
+        if side is None or value >= phi:
+            accept(idx, piece, max(phi, min(1.0, value)))
+            return
+        upper = scipy.sparse.triu(piece, k=1, format="coo")
+        crossing = side[upper.row] != side[upper.col]
+        remainder.update(edges(idx, upper.row[crossing], upper.col[crossing]))
+        split(idx[side])
+        split(idx[~side])
+
+    split(np.arange(len(ids)))
 
     decomposition = ExpanderDecomposition(
         graph=graph,
@@ -337,7 +434,7 @@ def recursive_decomposition_schedule(
     """
     if max_depth is None:
         max_depth = 2 * math.ceil(math.log2(max(2, graph.number_of_edges() + 1))) + 4
-    current = graph.copy()
+    current = graph
     for depth in range(max_depth):
         if current.number_of_edges() == 0:
             return
