@@ -18,10 +18,13 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=[
         "networkx>=2.8",
         "numpy>=1.22",
+        # The expander decomposition seeds eigsh's restart vector through
+        # its rng argument, which older releases do not take.
+        "scipy>=1.17",
     ],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],

@@ -39,14 +39,17 @@ degrees, and cut edges are found with masks.
 
 The procedure is deterministic: the solver's input, start vector and
 restart seed are fixed, and ties between equal Fiedler entries are broken by
-vertex identifier.  No dense eigensolver runs, so the output does not depend
-on the BLAS thread count either (``tests/test_expander_decomposition.py``
-compares one and two threads).
+vertex identifier.  ARPACK restarts from a random vector when the Krylov
+space of the all-ones start closes early, as it does on a regular piece
+(there the start is an eigenvector); ``eigsh`` draws that vector from the
+generator passed as ``rng`` (SciPy 1.17 or later, as ``setup.py``
+requires), so the seed is fixed at 0.  No dense eigensolver runs, so the
+output does not depend on the BLAS thread count either
+(``tests/test_expander_decomposition.py`` compares one and two threads).
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -154,14 +157,6 @@ class ExpanderDecomposition:
 # Sparse-cut search on a CSR adjacency
 # ---------------------------------------------------------------------------
 
-# ARPACK restarts from a random vector when the Krylov space of ``v0`` closes
-# early, as the all-ones start does on a regular piece (there it is an
-# eigenvector).  SciPy versions whose ``eigsh`` takes ``rng`` would draw that
-# vector from fresh OS entropy on every call, so the seed is fixed here.
-_RESTART_SEED = (
-    {"rng": 0} if "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters else {}
-)
-
 
 def _csr_index(graph: nx.Graph) -> tuple[np.ndarray, scipy.sparse.csr_array, np.ndarray]:
     """``(ids, A, rank)`` of ``graph`` over its sorted vertex ids.
@@ -201,15 +196,15 @@ def _fiedler_vector(adjacency: scipy.sparse.csr_array) -> np.ndarray:
     np.divide(1.0, np.sqrt(degree), out=scale, where=degree > 0)
     root = scipy.sparse.diags_array(scale)
     # D^{-1/2} (D - A) D^{-1/2}, the same float entries as networkx's
-    # normalized_laplacian_matrix: on symmetric graphs the Fiedler direction
-    # the solver settles on is decided by their rounding.
+    # normalised Laplacian: on symmetric graphs the Fiedler direction the
+    # solver settles on is decided by their rounding.
     laplacian = root @ ((scipy.sparse.diags_array(degree) - adjacency) @ root)
     eigenvalues, eigenvectors = scipy.sparse.linalg.eigsh(
         2.0 * scipy.sparse.eye_array(n) - laplacian,
         k=2,
         which="LA",
         v0=np.ones(n) / math.sqrt(n),
-        **_RESTART_SEED,
+        rng=0,
     )
     return eigenvectors[:, int(np.argmin(eigenvalues))]
 
@@ -346,23 +341,29 @@ def expander_decompose(
             )
         )
 
-    def split(idx: np.ndarray) -> None:
-        """Recurse on the connected components of ``idx`` that have edges."""
-        piece = adjacency[idx][:, idx]
+    def split(idx: np.ndarray, piece: scipy.sparse.csr_array) -> None:
+        """Recurse on the connected components of ``piece`` that have edges."""
         if piece.nnz == 0:
             return
         count, labels = scipy.sparse.csgraph.connected_components(piece, directed=False)
         if count == 1:
             cut(idx, piece)
             return
+        # Lay the components out as contiguous blocks, each in index order,
+        # so that each one is a slice of one permuted copy of the piece.
+        order = np.argsort(labels, kind="stable")
+        size = np.bincount(labels, minlength=count)
+        end = np.cumsum(size)
+        start = end - size
+        blocks = piece[order][:, order]
         # Visit components in the order of their first vertex in graph.nodes.
         first = np.full(count, len(ids))
         np.minimum.at(first, labels, rank[idx])
         has_edges = np.bincount(labels, weights=np.diff(piece.indptr), minlength=count) > 0
         for component in np.argsort(first):
             if has_edges[component]:
-                members = labels == component
-                cut(idx[members], piece[members][:, members])
+                s, e = start[component], end[component]
+                cut(idx[order[s:e]], blocks[s:e, s:e])
 
     def cut(idx: np.ndarray, piece: scipy.sparse.csr_array) -> None:
         """Certify a connected piece as a cluster, or cut it and recurse."""
@@ -377,10 +378,10 @@ def expander_decompose(
         upper = scipy.sparse.triu(piece, k=1, format="coo")
         crossing = side[upper.row] != side[upper.col]
         remainder.update(edges(idx, upper.row[crossing], upper.col[crossing]))
-        split(idx[side])
-        split(idx[~side])
+        split(idx[side], piece[side][:, side])
+        split(idx[~side], piece[~side][:, ~side])
 
-    split(np.arange(len(ids)))
+    split(np.arange(len(ids)), adjacency)
 
     decomposition = ExpanderDecomposition(
         graph=graph,

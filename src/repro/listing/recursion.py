@@ -236,20 +236,15 @@ class RecursiveListingDriver:
             handled: set[Edge] = set()
             max_cluster_rounds = 0
             cluster_count = 0
-            clusters = decomposition.clusters
-            cores = [core_vertices(residual_graph, cluster.edges) for cluster in clusters]
-            # Cores are vertex-disjoint, so one pass over the residual edges
-            # buckets each edge with both endpoints in one core into that core.
-            core_of = {vertex: position for position, core in enumerate(cores) for vertex in core}
-            responsibilities: list[set[Edge]] = [set() for _ in cores]
-            for edge in residual:
-                position = core_of.get(edge[0])
-                if position is not None and core_of.get(edge[1]) == position:
-                    responsibilities[position].add(edge)
-            for cluster, core, responsibility in zip(clusters, cores, responsibilities):
+            for cluster in decomposition.clusters:
+                cluster_edges = set(cluster.edges)
+                core = core_vertices(residual_graph, cluster_edges)
+                responsibility = {
+                    e for e in residual
+                    if e[0] in core and e[1] in core
+                }
                 if not responsibility:
                     continue
-                cluster_edges = set(cluster.edges)
                 cluster_count += 1
                 task = ClusterTask(
                     graph=graph,

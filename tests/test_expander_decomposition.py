@@ -95,6 +95,25 @@ class TestExpanderDecomposition:
         assert decomposition.num_clusters >= 2
         assert decomposition.remainder_fraction() < 0.3
 
+    def test_components_are_clusters_in_insertion_order(self):
+        # Cliques with no edges between them: each component is a cluster,
+        # numbered by the position of its first vertex in graph.nodes.
+        graph = nx.Graph()
+        graph.add_nodes_from([40, 7, 41, 99])  # 99 stays isolated
+        graph.add_edges_from([(u + 40, v + 40) for u, v in nx.complete_graph(4).edges])
+        graph.add_edges_from([(u + 3, v + 3) for u, v in nx.complete_graph(5).edges])
+        graph.add_edges_from([(u + 10, v + 10) for u, v in nx.complete_graph(6).edges])
+        graph.add_edge(0, 1)
+        decomposition = expander_decompose(graph, epsilon=0.2)
+        decomposition.validate()
+        assert [sorted(c.vertices) for c in decomposition.clusters] == [
+            [40, 41, 42, 43],
+            [3, 4, 5, 6, 7],
+            [10, 11, 12, 13, 14, 15],
+            [0, 1],
+        ]
+        assert not decomposition.remainder_edges
+
     def test_cluster_of_vertex_map(self, community_graph):
         decomposition = expander_decompose(community_graph, epsilon=0.2)
         mapping = decomposition.cluster_of_vertex()
